@@ -6,10 +6,11 @@ ratio C/I and the carrier-to-interference-plus-noise ratio C/(I+N) at a
 receiver served by the strongest station.  Three independent routes are
 provided and cross-validate each other:
 
-* exact semi-analytic tails by characteristic-function inversion
-  (:mod:`scsnet.analytic`, :mod:`scsnet.numerics`);
-* closed forms: the power law for C/I above threshold 1, and the
-  strongest-two-interferer approximation on the whole range;
+* exact semi-analytic tails (:mod:`scsnet.analytic`, :mod:`scsnet.numerics`):
+  characteristic-function inversion below threshold 1, and exact
+  Campbell-Mecke closed forms above it (the sinc power law for C/I, one
+  smooth quadrature for C/(I+N));
+* the strongest-two-interferer closed form on the whole range;
 * a reproducible Monte Carlo oracle (:mod:`scsnet.montecarlo`).
 
 :mod:`scsnet.network` reduces any multi-tier, faded, sectored deployment to the
@@ -60,12 +61,12 @@ from .analytic import (  # noqa: F401
     charfn_inv_ci,
     charfn_inv_cin,
     conditional_tail_mean,
-    k_constant,
     lookup,
     tail_ci,
     tail_ci2,
     tail_ci_closed,
     tail_cin,
+    tail_cin_closed,
 )
 from .montecarlo import (  # noqa: F401
     EmpiricalTail,

@@ -7,9 +7,13 @@ T_i for the unit-rate arrival times of the ordered station distances
 * the characteristic function of the total interference conditioned on the
   nearest-station distance, and of the reciprocal ratio (C/I)^-1, which is
   1 / 1F1(-a; 1-a; i*w) and depends on eps/l alone;
-* exact tail probabilities P(C/I > eta) and P(C/(I+N') > eta) by numerical
-  inversion of those characteristic functions;
-* the power-law closed form P(C/I > eta) = K * eta^-a valid on [1, inf);
+* exact tail probabilities P(C/I > eta) and P(C/(I+N') > eta).  Below
+  eta = 1 they come from numerical inversion of those characteristic
+  functions.  On [1, inf) at most one station can beat the threshold, and
+  Campbell-Mecke gives exact forms: the power law
+  P(C/I > eta) = sinc(pi a) eta^-a, and for C/(I+N') one smooth,
+  non-oscillating quadrature.  ``tol`` bounds whichever quadrature runs;
+  the C/I power law runs none;
 * the strongest-two-interferer approximation C/I_2, whose tail is closed
   form on the whole range, built from the G integral;
 * a lookup table of C/(I+N') tails over (epsilon, N', eta) grids, the
@@ -28,9 +32,11 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.integrate import quad
 
 from .network import CanonicalSystem, Dimension, NetworkSpec, canonicalize
 from .numerics import (
+    InversionError,
     g_integral,
     invert_tail,
     kummer_1f1_neg_a,
@@ -46,12 +52,12 @@ __all__ = [
     "charfn_inv_ci",
     "charfn_inv_cin",
     "tail_ci",
-    "k_constant",
     "tail_ci_closed",
     "few_bs_params",
     "tail_ci2",
     "conditional_tail_mean",
     "tail_cin",
+    "tail_cin_closed",
     "build_lookup_table",
     "default_table_grids",
     "lookup",
@@ -194,11 +200,13 @@ def _decay_ci(a: float) -> Tuple[float, complex]:
 
 
 def tail_ci(ratio: float, eta: float, *, tol: float = 1e-6) -> float:
-    """P(C/I > eta) by exact inversion; depends on eps/l only.
+    """P(C/I > eta); depends on eps/l only.
 
-    eta = 0 returns 1 (the ratio is nonnegative).  Accuracy is ``tol``
-    absolute, with the large-w tail of the inversion integral handled
-    analytically from the known w^(-l/eps) envelope.
+    eta = 0 returns 1 (the ratio is nonnegative).  On [1, inf) the answer is
+    the exact closed form tail_ci_closed and ``tol`` is unused.  Below 1 the
+    characteristic function is inverted to ``tol`` absolute, with the
+    large-w tail of the inversion integral handled analytically from the
+    known w^(-l/eps) envelope.
     """
     if ratio <= 1.0:
         raise ValueError(f"ratio must exceed 1, got {ratio}")
@@ -206,34 +214,65 @@ def tail_ci(ratio: float, eta: float, *, tol: float = 1e-6) -> float:
         raise ValueError(f"eta must be >= 0, got {eta}")
     if eta == 0:
         return 1.0
+    if eta >= 1.0:
+        return tail_ci_closed(ratio, eta)
     a = 1.0 / ratio
     return invert_tail(
         lambda w: charfn_inv_ci(ratio, w), eta, tol=tol, decay=_decay_ci(a)
     )
 
 
-_K_CACHE: dict = {}
+def tail_ci_closed(ratio: float, eta: float) -> float:
+    """Exact tail sin(pi a)/(pi a) * eta^-a on [1, inf), a = l/eps.
 
-
-def k_constant(ratio: float, *, tol: float = 1e-6) -> float:
-    """The eta = 1 tail value that anchors the power law; computed once.
-
-    Write-once per (ratio, tol) key; concurrent initialization is safe
-    because every writer computes the same value.
+    For eta >= 1 at most one station can beat eta times the rest, so the
+    tail is the mean number that do.  By Campbell-Mecke and Slivnyak that is
+    (b/l) eta^-a E[I^-a], with I the interference of the unit field, which
+    is positive stable: E[e^-sI] = exp(-(b/l) Gamma(1-a) s^a).  Hence
+    E[I^-a] = 1 / ((b/l) Gamma(1-a) Gamma(1+a)) and the sinc constant.
     """
-    key = (float(ratio), float(tol))
-    if key not in _K_CACHE:
-        _K_CACHE[key] = tail_ci(ratio, 1.0, tol=tol)
-    return _K_CACHE[key]
-
-
-def tail_ci_closed(ratio: float, eta: float, k_const: Optional[float] = None) -> float:
-    """Closed-form tail K * eta^(-l/eps), valid only for eta >= 1."""
+    if ratio <= 1.0:
+        raise ValueError(f"ratio must exceed 1, got {ratio}")
     if eta < 1.0:
         raise ValueError(f"the closed form holds only on [1, inf), got eta={eta}")
-    if k_const is None:
-        k_const = k_constant(ratio)
-    return k_const * eta ** (-1.0 / ratio)
+    pa = math.pi / ratio
+    return math.sin(pa) / pa * eta ** (-1.0 / ratio)
+
+
+def tail_cin_closed(canon: CanonicalSystem, eta: float, *, tol: float = 1e-5) -> float:
+    """Exact P(C/(I+N') > eta) on [1, inf) by one smooth quadrature.
+
+    The argument of tail_ci_closed with the noise added to the
+    interference gives
+
+        P = eta^-a (b/l)/Gamma(1+a) int_0^inf exp(-k u - N' u^(1/a)) du,
+
+    k = (b/l) Gamma(1-a).  Substituting u = v/k leaves
+    tail_ci_closed(eps/l, eta) * int_0^inf exp(-v - c v^(eps/l)) dv with
+    c = N' k^(-eps/l): a positive, monotone integrand without oscillation.
+    Its width is about s = 1 / (1 + c^(l/eps)); v = s x puts it on a unit
+    scale for any noise level, where quad on [0, inf) would otherwise miss
+    the narrow peak of a very noisy system.  Raises InversionError if quad's
+    error estimate, scaled like the value, exceeds ``tol``.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    rho = canon.ratio
+    k = canon.dim.b / canon.dim.l * math.gamma(1.0 - canon.a)
+    c_root = canon.nprime ** (1.0 / rho) / k  # c^(l/eps)
+    s = 1.0 / (1.0 + c_root)
+    q = (c_root * s) ** rho  # c s^(eps/l), at most 1
+    scale = tail_ci_closed(rho, eta) * s
+    val, err, info = quad(lambda x: math.exp(-s * x - q * x**rho), 0.0, math.inf,
+                          epsabs=1e-14, epsrel=1e-12, limit=200,
+                          full_output=1)[:3]
+    if scale * err > tol:
+        raise InversionError(
+            f"closed-form quadrature missed its tolerance "
+            f"(estimated error {scale * err:.2e})",
+            scale * val, scale * err, info["neval"],
+        )
+    return scale * val
 
 
 @dataclass(frozen=True)
@@ -315,12 +354,14 @@ def _cin_char_scale(canon: CanonicalSystem) -> float:
 
 
 def tail_cin(canon: CanonicalSystem, eta: float, *, tol: float = 1e-5) -> float:
-    """P(C/(I+N') > eta) for the canonical system, by exact inversion.
+    """P(C/(I+N') > eta) for the canonical system.
 
-    For N' = 0 this is tail_ci at the same ratio.  Otherwise the reciprocal
-    ratio's charfn (charfn_inv_cin) is inverted; its w^(-l/eps) envelope
-    coefficient is fitted from period-averaged samples, since noise damps the
-    envelope below the closed-form C/I value.
+    eta = 0 returns 1, and N' = 0 is tail_ci at the same ratio.  On
+    [1, inf) the answer is the exact tail_cin_closed.  Below 1 the
+    reciprocal ratio's charfn (charfn_inv_cin) is inverted; its w^(-l/eps)
+    envelope coefficient is fitted from period-averaged samples, since noise
+    damps the envelope below the closed-form C/I value.  ``tol`` is the
+    absolute accuracy of whichever quadrature runs.
     """
     if eta < 0:
         raise ValueError(f"eta must be >= 0, got {eta}")
@@ -328,6 +369,8 @@ def tail_cin(canon: CanonicalSystem, eta: float, *, tol: float = 1e-5) -> float:
         return 1.0
     if canon.nprime == 0.0:
         return tail_ci(canon.ratio, eta, tol=tol)
+    if eta >= 1.0:
+        return tail_cin_closed(canon, eta, tol=tol)
     return invert_tail(
         lambda w: charfn_inv_cin(canon, w),
         eta,

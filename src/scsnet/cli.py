@@ -39,7 +39,6 @@ from .analytic import (
     LookupTable,
     build_lookup_table,
     default_table_grids,
-    k_constant,
     lookup,
     tail_ci,
     tail_ci2,
@@ -179,8 +178,7 @@ def cmd_tail(args) -> int:
     elif args.method == "closed":
         if min(etas) < 1.0:
             raise UsageError("--method closed is valid only for etas >= 1")
-        kc = k_constant(canon.ratio)
-        rows = [(eta, tail_ci_closed(canon.ratio, eta, kc)) for eta in etas]
+        rows = [(eta, tail_ci_closed(canon.ratio, eta)) for eta in etas]
     elif args.method == "fewbs":
         rows = [(eta, tail_ci2(canon.ratio, eta)) for eta in etas]
     elif args.method == "lookup":

@@ -99,8 +99,8 @@ class Sector:
     beamwidth: float  # radians, in (0, 2*pi]
 
     def __post_init__(self):
-        if self.gain <= 0:
-            raise SpecError(f"sector gain must be > 0, got {self.gain}")
+        if not (self.gain > 0 and math.isfinite(self.gain)):
+            raise SpecError(f"sector gain must be finite and > 0, got {self.gain}")
         if not (0.0 < self.beamwidth <= _TWO_PI):
             raise SpecError(
                 f"sector beamwidth must lie in (0, 2*pi], got {self.beamwidth}"
@@ -121,10 +121,10 @@ class Tier:
     sector: Optional[Sector] = None
 
     def __post_init__(self):
-        if self.density <= 0:
-            raise SpecError(f"tier density must be > 0, got {self.density}")
-        if self.power < 0:
-            raise SpecError(f"tier power must be >= 0, got {self.power}")
+        if not (self.density > 0 and math.isfinite(self.density)):
+            raise SpecError(f"tier density must be finite and > 0, got {self.density}")
+        if not (self.power >= 0 and math.isfinite(self.power)):
+            raise SpecError(f"tier power must be finite and >= 0, got {self.power}")
 
 
 @dataclass(frozen=True)
@@ -243,13 +243,15 @@ class NetworkSpec:
             raise SpecError("at least one tier is required")
         if not isinstance(self.tiers, tuple):
             object.__setattr__(self, "tiers", tuple(self.tiers))
+        if not math.isfinite(self.epsilon):
+            raise SpecError(f"epsilon must be finite, got {self.epsilon}")
         if self.epsilon <= self.dim.l:
             raise SpecError(
                 f"path-loss exponent must exceed the dimension: "
                 f"epsilon={self.epsilon} <= l={self.dim.l}"
             )
-        if self.noise < 0:
-            raise SpecError(f"noise must be >= 0, got {self.noise}")
+        if not (self.noise >= 0 and math.isfinite(self.noise)):
+            raise SpecError(f"noise must be finite and >= 0, got {self.noise}")
 
     @property
     def total_density(self) -> float:
@@ -274,12 +276,14 @@ class CanonicalSystem:
     nprime: float
 
     def __post_init__(self):
+        if not math.isfinite(self.epsilon):
+            raise SpecError(f"epsilon must be finite, got {self.epsilon}")
         if self.epsilon <= self.dim.l:
             raise SpecError(
                 f"epsilon={self.epsilon} must exceed l={self.dim.l}"
             )
-        if self.nprime < 0:
-            raise SpecError(f"nprime must be >= 0, got {self.nprime}")
+        if not (self.nprime >= 0 and math.isfinite(self.nprime)):
+            raise SpecError(f"nprime must be finite and >= 0, got {self.nprime}")
 
     @property
     def a(self) -> float:

@@ -54,10 +54,10 @@ class QuadratureResult:
 
 
 class InversionError(RuntimeError):
-    """Tail inversion did not converge within its evaluation budget.
+    """A tail quadrature missed its tolerance or ran out of its budget.
 
-    Carries the best partial value and the estimated error at the point the
-    budget ran out.
+    Raised by the inversion here and by the closed-form C/(I+N') integral.
+    Carries the best partial value, its estimated error and the work done.
     """
 
     def __init__(self, message, partial_value, error_estimate, evaluations):

@@ -39,3 +39,31 @@ def planar_canonical():
 
     return NetworkSpec(dim=Dimension(2), epsilon=4.0,
                        tiers=(Tier(density=1.0, power=1.0),))
+
+
+@pytest.fixture(scope="session")
+def invert_ci():
+    """P(C/I > eta) by charfn inversion at any eta > 0.
+
+    tail_ci answers eta >= 1 with its closed form, so checks of that closed
+    form need this independent route: the one tail_ci takes below 1.
+    """
+    from scsnet import charfn_inv_ci, invert_tail
+    from scsnet.analytic import _decay_ci
+
+    def run(ratio, eta, tol=1e-6):
+        return invert_tail(lambda w: charfn_inv_ci(ratio, w), eta, tol=tol,
+                           decay=_decay_ci(1.0 / ratio))
+    return run
+
+
+@pytest.fixture(scope="session")
+def invert_cin():
+    """P(C/(I+N') > eta) by charfn inversion at any eta > 0 (see invert_ci)."""
+    from scsnet import charfn_inv_cin, invert_tail
+    from scsnet.analytic import _cin_char_scale
+
+    def run(canon, eta, tol=1e-5):
+        return invert_tail(lambda w: charfn_inv_cin(canon, w), eta, tol=tol,
+                           decay=canon.a, char_scale=_cin_char_scale(canon))
+    return run

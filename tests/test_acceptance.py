@@ -23,7 +23,6 @@ from scsnet import (
     empirical_tail_ci,
     empirical_tail_cin,
     empirical_tail_fewbs,
-    k_constant,
     kummer_1f1_neg_a,
     noise_after_adding_tiers,
     tail_ci,
@@ -81,11 +80,12 @@ def test_criterion_02_dimension_equivalence():
     report(2, "C/I tails equal across (l=1,e=2)/(l=2,e=4)/(l=3,e=6)", ok)
 
 
-def test_criterion_03_power_law_slope():
+def test_criterion_03_power_law_slope(invert_ci):
+    # by inversion: tail_ci itself answers eta >= 1 with the power law
     etas = np.geomspace(1.0, 100.0, 20)
     ok = True
     for ratio in (1.5, 2.0, 2.5):
-        tails = np.array([tail_ci(ratio, e, tol=1e-5) for e in etas])
+        tails = np.array([invert_ci(ratio, e, tol=1e-5) for e in etas])
         slope = np.polyfit(np.log(etas), np.log(tails), 1)[0]
         ok &= abs(slope + 1.0 / ratio) <= 0.01
     report(3, "log-log slope of the C/I tail equals -l/eps within 0.01", ok)
@@ -101,7 +101,7 @@ def test_criterion_04_exact_vs_mc():
     report(4, "exact inversion inside the 99% CI of a 1e6-run MC", ok)
 
 
-def test_criterion_05_few_bs_closed_form():
+def test_criterion_05_few_bs_closed_form(invert_ci):
     etas = [0.25, 0.5, 1.0, 2.0, 4.0]
     emp = empirical_tail_fewbs(single_tier(2, 4.0), etas, 1_000_000, 500)
     ok_mc = all(
@@ -113,10 +113,10 @@ def test_criterion_05_few_bs_closed_form():
         for r in (1.5, 2.0, 2.5)
     )
     ratios = [
-        tail_ci(2.0, e, tol=1e-7) / tail_ci2(2.0, e)
+        invert_ci(2.0, e, tol=1e-7) / tail_ci2(2.0, e)
         for e in np.geomspace(1.0, 100.0, 10)
     ]
-    ref = k_constant(2.0, tol=1e-7) / tail_ci2(2.0, 1.0)
+    ref = invert_ci(2.0, 1.0, tol=1e-7) / tail_ci2(2.0, 1.0)
     ok_ratio = all(abs(r / ref - 1.0) <= 1e-3 for r in ratios)
     report(5, "strongest-two closed form: MC bracket, continuity, constant ratio",
            ok_mc and ok_cont and ok_ratio)

@@ -6,6 +6,7 @@ import pytest
 from scsnet import (
     CanonicalSystem,
     Dimension,
+    InversionError,
     LookupRangeError,
     LookupTable,
     NetworkSpec,
@@ -17,12 +18,12 @@ from scsnet import (
     charfn_inv_ci,
     charfn_inv_cin,
     conditional_tail_mean,
-    k_constant,
     lookup,
     tail_ci,
     tail_ci2,
     tail_ci_closed,
     tail_cin,
+    tail_cin_closed,
 )
 from scsnet.montecarlo import substream
 
@@ -124,13 +125,20 @@ class TestTailCi:
     def test_eta_zero(self):
         assert tail_ci(2.0, 0.0) == 1.0
 
-    def test_power_law_above_one(self):
+    def test_power_law_above_one(self, invert_ci):
+        # the inversion route, independent of the closed form tail_ci uses here
         for ratio in (1.5, 2.0, 3.0):
-            t1 = tail_ci(ratio, 1.0)
+            t1 = invert_ci(ratio, 1.0)
             for eta in (2.0, 5.0, 20.0):
-                assert tail_ci(ratio, eta) == pytest.approx(
+                assert invert_ci(ratio, eta) == pytest.approx(
                     t1 * eta ** (-1.0 / ratio), abs=1e-3
                 )
+
+    def test_steep_decay_at_one_is_sinc(self):
+        # eps/l = 8 defeats the inversion's tail bound; the closed form answers
+        assert tail_ci(8.0, 1.0) == pytest.approx(
+            math.sin(math.pi / 8) / (math.pi / 8), abs=1e-12
+        )
 
     @pytest.mark.parametrize("ratio,eta,anchor", [
         (2.0, 1.0, 0.636619772485079),
@@ -153,17 +161,16 @@ class TestTailCi:
 
 class TestClosedForm:
     def test_anchor_is_exact_at_one(self):
-        k = k_constant(2.0)
-        assert tail_ci_closed(2.0, 1.0, k) == k
+        # sinc(pi/2) = 2/pi
+        assert tail_ci_closed(2.0, 1.0) == pytest.approx(2.0 / math.pi, rel=1e-15)
 
     def test_power_halving(self):
-        k = k_constant(2.0)
-        assert tail_ci_closed(2.0, 4.0, k) == pytest.approx(k / 2.0, rel=1e-14)
+        k = tail_ci_closed(2.0, 1.0)
+        assert tail_ci_closed(2.0, 4.0) == pytest.approx(k / 2.0, rel=1e-14)
 
-    def test_matches_inversion_at_ten(self):
-        k = k_constant(2.0)
-        assert tail_ci_closed(2.0, 10.0, k) == pytest.approx(
-            tail_ci(2.0, 10.0), abs=1e-3
+    def test_matches_inversion_at_ten(self, invert_ci):
+        assert tail_ci_closed(2.0, 10.0) == pytest.approx(
+            invert_ci(2.0, 10.0), abs=1e-3
         )
 
     def test_domain_guard(self):
@@ -182,11 +189,11 @@ class TestFewBs:
         assert tail_ci2(2.0, 0.0) == 1.0
         assert tail_ci2(2.0, 1e-4) == pytest.approx(1.0, abs=1e-6)
 
-    def test_constant_ratio_to_exact_above_one(self):
-        k = k_constant(2.0)
+    def test_constant_ratio_to_exact_above_one(self, invert_ci):
+        k = tail_ci_closed(2.0, 1.0)
         c = tail_ci2(2.0, 1.0)
         for eta in (1.0, 3.0, 10.0, 60.0):
-            r = tail_ci(2.0, eta, tol=1e-7) / tail_ci2(2.0, eta)
+            r = invert_ci(2.0, eta, tol=1e-7) / tail_ci2(2.0, eta)
             assert r == pytest.approx(k / c, rel=1e-3)
 
     def test_close_to_exact_below_one(self):
@@ -309,6 +316,50 @@ class TestTailCin:
         assert 0.0 <= lo <= hi <= 1.0
         tiny = tail_cin(CanonicalSystem(dim=D2, epsilon=4.0, nprime=1e-6), 100.0)
         assert tiny == pytest.approx(tail_ci(2.0, 100.0), abs=1e-3)
+
+
+class TestCinClosed:
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    @pytest.mark.parametrize("ratio", [1.5, 2.0])
+    @pytest.mark.parametrize("nprime", [0.01, 1.0])
+    def test_matches_inversion(self, invert_cin, l, ratio, nprime):
+        canon = CanonicalSystem(dim=Dimension(l), epsilon=ratio * l, nprime=nprime)
+        for eta in (1.0, 2.0):
+            assert abs(tail_cin_closed(canon, eta) - invert_cin(canon, eta)) <= 1e-7
+
+    def test_tail_cin_takes_it_above_one(self):
+        canon = CanonicalSystem(dim=D2, epsilon=4.0, nprime=0.3)
+        assert tail_cin(canon, 2.0) == tail_cin_closed(canon, 2.0)
+
+    def test_noiseless_is_sinc_law(self):
+        canon = CanonicalSystem(dim=Dimension(3), epsilon=7.5, nprime=0.0)
+        for eta in (1.0, 3.0):
+            assert tail_cin_closed(canon, eta) == pytest.approx(
+                tail_ci_closed(2.5, eta), rel=1e-12
+            )
+
+    def test_very_noisy_system_keeps_its_peak(self):
+        # at N' = 1e10 the integrand is a narrow peak at 0 that quad on
+        # [0, inf) alone misses; noise dominates, so P ~ (b/l) (eta N')^-a
+        canon = CanonicalSystem(dim=D2, epsilon=4.0, nprime=1e10)
+        want = math.pi * 1e-5
+        assert tail_cin_closed(canon, 1.0) == pytest.approx(want, rel=1e-3)
+
+    def test_quadrature_error_guard_raises(self):
+        canon = CanonicalSystem(dim=D2, epsilon=4.0, nprime=1.0)
+        with pytest.raises(InversionError) as info:
+            tail_cin_closed(canon, 1.0, tol=1e-15)
+        assert info.value.error_estimate > 1e-15
+        assert info.value.partial_value == pytest.approx(
+            tail_cin_closed(canon, 1.0), abs=1e-12
+        )
+        with pytest.raises(InversionError):
+            tail_cin(canon, 1.0, tol=1e-15)
+
+    def test_domain_guard(self):
+        canon = CanonicalSystem(dim=D2, epsilon=4.0, nprime=1.0)
+        with pytest.raises(ValueError):
+            tail_cin_closed(canon, 0.5)
 
 
 @pytest.fixture(scope="module")

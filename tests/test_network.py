@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from scsnet import (
+    CanonicalSystem,
     DegenerateNetworkError,
     Dimension,
     LogNormalFading,
@@ -59,6 +60,41 @@ class TestValidation:
             Sector(gain=1.0, beamwidth=2.0 * math.pi + 1e-9)
         with pytest.raises(SpecError):
             Sector(gain=1.0, beamwidth=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_tier_density_must_be_finite(self, bad):
+        with pytest.raises(SpecError, match="density"):
+            Tier(density=bad, power=1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_tier_power_must_be_finite(self, bad):
+        with pytest.raises(SpecError, match="power"):
+            Tier(density=1.0, power=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_sector_gain_must_be_finite(self, bad):
+        with pytest.raises(SpecError, match="gain"):
+            Sector(gain=bad, beamwidth=math.pi)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_spec_epsilon_must_be_finite(self, bad):
+        with pytest.raises(SpecError, match="epsilon"):
+            spec_of([Tier(1.0, 1.0)], eps=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_spec_noise_must_be_finite(self, bad):
+        with pytest.raises(SpecError, match="noise"):
+            spec_of([Tier(1.0, 1.0)], noise=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_canonical_epsilon_must_be_finite(self, bad):
+        with pytest.raises(SpecError, match="epsilon"):
+            CanonicalSystem(dim=Dimension(2), epsilon=bad, nprime=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_canonical_nprime_must_be_finite(self, bad):
+        with pytest.raises(SpecError, match="nprime"):
+            CanonicalSystem(dim=Dimension(2), epsilon=4.0, nprime=bad)
 
     def test_tiers_nonempty(self):
         with pytest.raises(SpecError):
