@@ -30,19 +30,20 @@ from .network import (  # noqa: F401
     NetworkSpec,
     NoFading,
     PowerPmf,
+    Reduction,
     Sector,
     SpecError,
     Tier,
-    apply_sectoring,
     as_network_spec,
     canonicalize,
     fading_moment,
     load_spec,
     noise_after_adding_tiers,
     power_moment,
+    power_pmf,
+    reduce_network,
     sigma_db_to_natural,
     spec_from_json,
-    superpose_tiers,
 )
 from .numerics import (  # noqa: F401
     InversionError,
@@ -52,10 +53,8 @@ from .numerics import (  # noqa: F401
     kummer_1f1_neg_a,
 )
 from .analytic import (  # noqa: F401
-    FewBsParams,
     LookupRangeError,
     LookupTable,
-    TailCurve,
     build_lookup_table,
     charfn_interference_given_r1,
     charfn_inv_ci,
@@ -70,14 +69,10 @@ from .analytic import (  # noqa: F401
 )
 from .montecarlo import (  # noqa: F401
     EmpiricalTail,
-    Realization,
-    RngSeed,
     UnsupportedSettingError,
     default_r_max,
     empirical_tail_ci,
     empirical_tail_cin,
     empirical_tail_fewbs,
-    realize,
-    sample_field,
     substream,
 )

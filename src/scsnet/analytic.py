@@ -25,6 +25,7 @@ unlike C/I; the canonical system carries that information.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -43,8 +44,6 @@ from .numerics import (
 )
 
 __all__ = [
-    "TailCurve",
-    "FewBsParams",
     "LookupTable",
     "LookupRangeError",
     "NumericDegeneracyError",
@@ -53,7 +52,6 @@ __all__ = [
     "charfn_inv_cin",
     "tail_ci",
     "tail_ci_closed",
-    "few_bs_params",
     "tail_ci2",
     "conditional_tail_mean",
     "tail_cin",
@@ -70,26 +68,6 @@ class LookupRangeError(ValueError):
 
 class NumericDegeneracyError(ArithmeticError):
     """A characteristic-function denominator lost all its magnitude."""
-
-
-@dataclass(frozen=True)
-class TailCurve:
-    """Evaluated tail-probability points for one system and one method."""
-
-    etas: Tuple[float, ...]
-    probs: Tuple[float, ...]
-    method: str
-    meta: Optional[CanonicalSystem] = None
-
-    def __post_init__(self):
-        if len(self.etas) != len(self.probs):
-            raise ValueError("etas and probs must align")
-        if any(p < -1e-12 or p > 1 + 1e-12 for p in self.probs):
-            raise ValueError("tail probabilities must lie in [0, 1]")
-        pairs = sorted(zip(self.etas, self.probs))
-        for (_, p0), (_, p1) in zip(pairs, pairs[1:]):
-            if p1 > p0 + 1e-6:
-                raise ValueError("tail probabilities must be nonincreasing in eta")
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +188,7 @@ def tail_ci(ratio: float, eta: float, *, tol: float = 1e-6) -> float:
     """
     if ratio <= 1.0:
         raise ValueError(f"ratio must exceed 1, got {ratio}")
-    if eta < 0:
+    if not (eta >= 0):
         raise ValueError(f"eta must be >= 0, got {eta}")
     if eta == 0:
         return 1.0
@@ -233,7 +211,7 @@ def tail_ci_closed(ratio: float, eta: float) -> float:
     """
     if ratio <= 1.0:
         raise ValueError(f"ratio must exceed 1, got {ratio}")
-    if eta < 1.0:
+    if not (eta >= 1.0):
         raise ValueError(f"the closed form holds only on [1, inf), got eta={eta}")
     pa = math.pi / ratio
     return math.sin(pa) / pa * eta ** (-1.0 / ratio)
@@ -275,32 +253,10 @@ def tail_cin_closed(canon: CanonicalSystem, eta: float, *, tol: float = 1e-5) ->
     return scale * val
 
 
-@dataclass(frozen=True)
-class FewBsParams:
-    """Constants of the strongest-two-interferer tail for one ratio.
-
-    u(1) = 0, so d(1) = c_const and the two branches meet continuously.
-    """
-
-    ratio: float
-    c_const: float
-
-    def u(self, eta: float) -> float:
-        return (self.ratio - 1.0) * (1.0 / eta - 1.0)
-
-    def d(self, eta: float) -> float:
-        return g_integral(self.u(eta), self.ratio)
-
-
-_FEWBS_CACHE: dict = {}
-
-
-def few_bs_params(ratio: float) -> FewBsParams:
-    if ratio <= 1.0:
-        raise ValueError(f"ratio must exceed 1, got {ratio}")
-    if ratio not in _FEWBS_CACHE:
-        _FEWBS_CACHE[ratio] = FewBsParams(ratio=ratio, c_const=g_integral(0.0, ratio))
-    return _FEWBS_CACHE[ratio]
+@functools.cache
+def _g_at_zero(ratio: float) -> float:
+    """C = G(0) of the strongest-two tail, once per ratio."""
+    return g_integral(0.0, ratio)
 
 
 def tail_ci2(ratio: float, eta: float) -> float:
@@ -312,21 +268,22 @@ def tail_ci2(ratio: float, eta: float) -> float:
         P(C/I_2 > eta) = eta^-a C                      for eta >= 1,
                          1 - (1+u) e^-u + eta^-a D(eta) for eta < 1,
 
-    with u = (ratio-1)(1/eta - 1), C = G(0), D(eta) = G(u(eta)); continuous
-    at eta = 1 and approaching 1 as eta -> 0.
+    with u = (ratio-1)(1/eta - 1), C = G(0), D(eta) = G(u(eta)); u(1) = 0,
+    so D(1) = C: continuous at eta = 1 and approaching 1 as eta -> 0.
     """
-    if eta < 0:
+    if not (eta >= 0):
         raise ValueError(f"eta must be >= 0, got {eta}")
     if eta == 0:
         return 1.0
-    p = few_bs_params(ratio)
+    if ratio <= 1.0:
+        raise ValueError(f"ratio must exceed 1, got {ratio}")
     a = 1.0 / ratio
     if eta >= 1.0:
-        return eta ** (-a) * p.c_const
-    u = p.u(eta)
+        return eta ** (-a) * _g_at_zero(ratio)
+    u = (ratio - 1.0) * (1.0 / eta - 1.0)
     if u > 745.0:  # exp underflow: both corrections vanish
         return 1.0
-    return 1.0 - (1.0 + u) * math.exp(-u) + eta ** (-a) * p.d(eta)
+    return 1.0 - (1.0 + u) * math.exp(-u) + eta ** (-a) * g_integral(u, ratio)
 
 
 def conditional_tail_mean(
@@ -363,7 +320,7 @@ def tail_cin(canon: CanonicalSystem, eta: float, *, tol: float = 1e-5) -> float:
     damps the envelope below the closed-form C/I value.  ``tol`` is the
     absolute accuracy of whichever quadrature runs.
     """
-    if eta < 0:
+    if not (eta >= 0):
         raise ValueError(f"eta must be >= 0, got {eta}")
     if eta == 0:
         return 1.0

@@ -46,13 +46,7 @@ from .analytic import (
     tail_cin,
 )
 from .montecarlo import empirical_tail_ci, empirical_tail_cin
-from .network import (
-    SpecError,
-    canonicalize,
-    fading_moment,
-    load_spec,
-    _sectored_pmf,
-)
+from .network import SpecError, canonicalize, load_spec, reduce_network
 
 
 class UsageError(Exception):
@@ -121,31 +115,26 @@ def _load_spec_with_overrides(args):
 
 def cmd_reduce(args) -> int:
     spec = _load_spec_with_overrides(args)
-    canon = canonicalize(spec)
-    a = spec.a
-    pmf = _sectored_pmf(spec)
-    k_mom = pmf.moment(a)
-    psi_mom = fading_moment(spec.fading, a)
-    lam_eff = spec.total_density * k_mom * psi_mom
+    red = reduce_network(spec)
     if args.json:
         print(json.dumps({
             "l": spec.dim.l,
             "epsilon": spec.epsilon,
             "total_density": spec.total_density,
-            "power_moment": k_mom,
-            "fading_moment": psi_mom,
-            "lambda_eff": lam_eff,
-            "nprime": canon.nprime,
+            "power_moment": red.power_moment,
+            "fading_moment": red.fading_moment,
+            "lambda_eff": red.lambda_eff,
+            "nprime": red.canon.nprime,
         }, indent=2, sort_keys=True))
     else:
         print(f"{'quantity':<22}{'value'}")
         print(f"{'l':<22}{spec.dim.l}")
         print(f"{'epsilon':<22}{spec.epsilon!r}")
         print(f"{'total density':<22}{spec.total_density!r}")
-        print(f"{'E[K^(l/eps)]':<22}{k_mom!r}")
-        print(f"{'E[Psi^(l/eps)]':<22}{psi_mom!r}")
-        print(f"{'lambda_eff':<22}{lam_eff!r}")
-        print(f"{'N_prime':<22}{canon.nprime!r}")
+        print(f"{'E[K^(l/eps)]':<22}{red.power_moment!r}")
+        print(f"{'E[Psi^(l/eps)]':<22}{red.fading_moment!r}")
+        print(f"{'lambda_eff':<22}{red.lambda_eff!r}")
+        print(f"{'N_prime':<22}{red.canon.nprime!r}")
     return 0
 
 
@@ -202,10 +191,8 @@ def cmd_tail(args) -> int:
     out = Path(args.out)
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("eta,tail,method\n")
-        label = {"exact": "exact-inversion", "closed": "closed-form",
-                 "fewbs": "few-bs", "lookup": "lookup"}[args.method]
         for eta, p in rows:
-            fh.write(f"{eta!r},{p!r},{label}\n")
+            fh.write(f"{eta!r},{p!r},{args.method}\n")
     _write_manifest(out, "tail", {**_spec_args(args), "metric": args.metric,
                                   "method": args.method, "etas": etas},
                     [out], started)
@@ -279,9 +266,9 @@ def cmd_figures(args) -> int:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("eta,tail,method\n")
             for eta in etas:
-                fh.write(f"{eta!r},{tail_ci(2.0, eta)!r},exact-inversion\n")
+                fh.write(f"{eta!r},{tail_ci(2.0, eta)!r},exact\n")
             for eta in etas:
-                fh.write(f"{eta!r},{tail_ci2(2.0, eta)!r},few-bs\n")
+                fh.write(f"{eta!r},{tail_ci2(2.0, eta)!r},fewbs\n")
         outputs.append(out)
     elif args.which == "fig3":
         # noise lookup curves: P(C/(I+N') > 1) against N' for several epsilon

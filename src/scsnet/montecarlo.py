@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,19 +30,15 @@ from .network import (
     MomentFading,
     NetworkSpec,
     NoFading,
-    _sectored_pmf,
+    power_pmf,
 )
 
 __all__ = [
     "BLOCK_SIZE",
     "Z99",
     "UnsupportedSettingError",
-    "RngSeed",
-    "Realization",
     "EmpiricalTail",
     "substream",
-    "sample_field",
-    "realize",
     "default_r_max",
     "empirical_tail_ci",
     "empirical_tail_cin",
@@ -57,40 +53,11 @@ class UnsupportedSettingError(ValueError):
     """The requested simulation needs features outside the supported model."""
 
 
-@dataclass(frozen=True)
-class RngSeed:
-    """A root seed plus a substream index; (seed, stream) fixes all draws."""
-
-    seed: int
-    stream: int = 0
-
-    def generator(self) -> np.random.Generator:
-        return substream(self.seed, self.stream)
-
-
 def substream(seed: int, stream: int) -> np.random.Generator:
     """Counter-indexed Philox substream: independent, reproducible, portable."""
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
                     np.uint64(stream & 0xFFFFFFFFFFFFFFFF)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-@dataclass(frozen=True)
-class Realization:
-    """One field draw: ordered distances, marks, and the derived powers.
-
-    p_i includes the conditional-mean compensation for stations beyond the
-    truncation radius.  ``rejections`` counts degenerate draws (no station
-    with positive received power) that were discarded before this one.
-    """
-
-    distances: np.ndarray
-    powers: np.ndarray
-    fadings: np.ndarray
-    p_s: float
-    p_i: float
-    serving_index: int
-    rejections: int = 0
 
 
 @dataclass(frozen=True)
@@ -131,23 +98,6 @@ def _arrival_matrix(rng, rows: int, t_max: float, mu: float) -> np.ndarray:
         extra = rng.exponential(size=(rows, 32)).cumsum(axis=1)
         t = np.hstack([t, t[:, -1:] + extra])
     return t
-
-
-def sample_field(dim, lambda0: float, r_max: float, rng) -> np.ndarray:
-    """Ascending station distances within r_max for one field draw.
-
-    T_i = lambda0 b_l R_i^l / l are unit-rate Poisson arrivals, so the count
-    within r_max is Poisson with mean lambda0 b_l r_max^l / l and consecutive
-    T increments are i.i.d. Exp(1).
-    """
-    if lambda0 <= 0:
-        raise ValueError(f"lambda0 must be > 0, got {lambda0}")
-    if r_max <= 0:
-        raise ValueError(f"r_max must be > 0, got {r_max}")
-    t_max = lambda0 * dim.b * r_max**dim.l / dim.l
-    t = _arrival_matrix(rng, 1, t_max, t_max)[0]
-    t = t[t < t_max]
-    return (dim.l * t / (lambda0 * dim.b)) ** (1.0 / dim.l)
 
 
 def _draw_marks(spec: NetworkSpec, rng, shape):
@@ -191,7 +141,7 @@ def _draw_marks(spec: NetworkSpec, rng, shape):
 def _far_field_mean(spec: NetworkSpec, r_max: float) -> float:
     """Expected interference from beyond r_max: the conditional-mean integrand
     integrated outward, with the mean power and fading marks."""
-    mean_power = _sectored_pmf(spec).mean
+    mean_power = power_pmf(spec).mean
     mean_fading = spec.fading.mean if not isinstance(spec.fading, MomentFading) else None
     if mean_fading is None:
         raise UnsupportedSettingError(
@@ -245,36 +195,6 @@ def _simulate_blocks(spec: NetworkSpec, r_max: float, n: int, seed: int,
         yield p_s, p_i, rejected
 
 
-def realize(spec: NetworkSpec, r_max: float, rng) -> Realization:
-    """One marked field draw with serving/interference powers.
-
-    The serving station is the argmax of received power (with constant marks
-    that is the nearest station); p_i sums every other station plus the mean
-    far field beyond r_max.  Draws with no positive received power are
-    rejected and resampled, and the count is reported on the result.
-    """
-    l, b, eps = spec.dim.l, spec.dim.b, spec.epsilon
-    lam = spec.total_density
-    t_max = lam * b * r_max**l / l
-    rejections = 0
-    while True:
-        t = _arrival_matrix(rng, 1, t_max, t_max)[0]
-        t = t[t < t_max]
-        powers, fad = _draw_marks(spec, rng, t.shape)
-        radii = (l * t / (lam * b)) ** (1.0 / l)
-        received = powers * fad * radii ** (-eps)
-        if received.size and received.max() > 0.0:
-            break
-        rejections += 1
-    serving = int(np.argmax(received))
-    p_s = float(received[serving])
-    p_i = float(received.sum() - p_s + _far_field_mean(spec, r_max))
-    return Realization(
-        distances=radii, powers=powers, fadings=fad,
-        p_s=p_s, p_i=p_i, serving_index=serving, rejections=rejections,
-    )
-
-
 def default_r_max(spec: NetworkSpec, *, fraction: float = 0.01,
                   pilot_n: int = 1000, seed: int = 0) -> float:
     """Truncation radius making the far-field compensation a small fraction
@@ -294,7 +214,7 @@ def default_r_max(spec: NetworkSpec, *, fraction: float = 0.01,
                                         stream_base=_PILOT_STREAM_BASE):
         pilot.append(p_i)
     typical = float(np.median(np.concatenate(pilot)))
-    mean_power = _sectored_pmf(spec).mean
+    mean_power = power_pmf(spec).mean
     mean_fading = spec.fading.mean
     target = fraction * typical * (eps - l) / (lam * mean_power * mean_fading * b)
     r = target ** (1.0 / (l - eps))
@@ -315,19 +235,21 @@ def _require_fewbs_setting(spec: NetworkSpec):
         raise UnsupportedSettingError("tier power must be positive")
 
 
-def _empirical(spec, etas, n, seed, metric, r_max, method) -> EmpiricalTail:
+def _empirical(etas, n, seed, method, blocks: Iterator) -> EmpiricalTail:
+    """Count ratio values above each eta over ``blocks`` and assemble the tail.
+
+    ``blocks`` is a lazy iterator of (ratio values, rejections) per block; it
+    starts drawing only after etas and n have been checked.
+    """
     etas = [float(e) for e in etas]
     if etas != sorted(etas):
         raise ValueError("etas must be sorted ascending")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if r_max is None:
-        r_max = default_r_max(spec, seed=seed)
     counts = np.zeros(len(etas), dtype=np.int64)
     rejected = 0
     eta_arr = np.asarray(etas)
-    for p_s, p_i, rej in _simulate_blocks(spec, r_max, n, seed):
-        vals = metric(p_s, p_i)
+    for vals, rej in blocks:
         counts += (vals[:, None] > eta_arr[None, :]).sum(axis=0)
         rejected += rej
     tails = counts / n
@@ -339,19 +261,46 @@ def _empirical(spec, etas, n, seed, metric, r_max, method) -> EmpiricalTail:
     )
 
 
+def _field_ratios(spec: NetworkSpec, n: int, seed: int, r_max: Optional[float],
+                  noise: float):
+    """C/(I+noise) of the block sampler's realizations, block by block."""
+    if r_max is None:
+        r_max = default_r_max(spec, seed=seed)
+    elif not (math.isfinite(r_max) and r_max > 0):
+        raise ValueError(f"r_max must be finite and > 0, got {r_max}")
+    for p_s, p_i, rej in _simulate_blocks(spec, r_max, n, seed):
+        yield p_s / (p_i + noise), rej
+
+
 def empirical_tail_ci(spec: NetworkSpec, etas: Sequence[float], n: int,
                       seed: int, *, r_max: Optional[float] = None) -> EmpiricalTail:
     """Empirical tail of C/I; realizations are shared across all etas."""
-    return _empirical(spec, etas, n, seed, lambda s, i: s / i, r_max, "mc-ci")
+    return _empirical(etas, n, seed, "mc-ci", _field_ratios(spec, n, seed, r_max, 0.0))
 
 
 def empirical_tail_cin(spec: NetworkSpec, etas: Sequence[float], n: int,
                        seed: int, *, r_max: Optional[float] = None) -> EmpiricalTail:
     """Empirical tail of C/(I+N); same realizations as the C/I run at equal seed."""
-    noise = spec.noise
-    return _empirical(
-        spec, etas, n, seed, lambda s, i: s / (i + noise), r_max, "mc-cin"
-    )
+    return _empirical(etas, n, seed, "mc-cin",
+                      _field_ratios(spec, n, seed, r_max, spec.noise))
+
+
+def _fewbs_ratios(spec: NetworkSpec, n: int, seed: int, k: int):
+    """C/I_k block by block: the k nearest stations drawn exactly."""
+    l, b, eps = spec.dim.l, spec.dim.b, spec.epsilon
+    lam = spec.tiers[0].density
+    kpow = spec.tiers[0].power
+    n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
+    for blk in range(n_blocks):
+        rows = min(BLOCK_SIZE, n - blk * BLOCK_SIZE)
+        rng = substream(seed, blk)
+        t = rng.exponential(size=(rows, k)).cumsum(axis=1)
+        radii = (l * t / (lam * b)) ** (1.0 / l)
+        p_s = kpow * radii[:, 0] ** (-eps)
+        exact = (kpow * radii[:, 1:k] ** (-eps)).sum(axis=1) if k >= 2 else 0.0
+        r_k = radii[:, k - 1]
+        mean_rest = lam * b * kpow * r_k ** (l - eps) / (eps - l)
+        yield p_s / (exact + mean_rest), 0
 
 
 def empirical_tail_fewbs(spec: NetworkSpec, etas: Sequence[float], n: int,
@@ -367,30 +316,4 @@ def empirical_tail_fewbs(spec: NetworkSpec, etas: Sequence[float], n: int,
     _require_fewbs_setting(spec)
     if k < 1:
         raise ValueError("k must be >= 1")
-    etas = [float(e) for e in etas]
-    if etas != sorted(etas):
-        raise ValueError("etas must be sorted ascending")
-    l, b, eps = spec.dim.l, spec.dim.b, spec.epsilon
-    lam = spec.tiers[0].density
-    kpow = spec.tiers[0].power
-    counts = np.zeros(len(etas), dtype=np.int64)
-    eta_arr = np.asarray(etas)
-    n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-    for blk in range(n_blocks):
-        rows = min(BLOCK_SIZE, n - blk * BLOCK_SIZE)
-        rng = substream(seed, blk)
-        t = rng.exponential(size=(rows, k)).cumsum(axis=1)
-        radii = (l * t / (lam * b)) ** (1.0 / l)
-        p_s = kpow * radii[:, 0] ** (-eps)
-        exact = (kpow * radii[:, 1:k] ** (-eps)).sum(axis=1) if k >= 2 else 0.0
-        r_k = radii[:, k - 1]
-        mean_rest = lam * b * kpow * r_k ** (l - eps) / (eps - l)
-        vals = p_s / (exact + mean_rest)
-        counts += (vals[:, None] > eta_arr[None, :]).sum(axis=0)
-    tails = counts / n
-    hw = Z99 * np.sqrt(tails * (1.0 - tails) / n)
-    return EmpiricalTail(
-        etas=tuple(etas), tails=tuple(float(t) for t in tails),
-        halfwidths=tuple(float(h) for h in hw),
-        n=n, seed=seed, method=f"mc-fewbs{k}", n_rejected=0,
-    )
+    return _empirical(etas, n, seed, f"mc-fewbs{k}", _fewbs_ratios(spec, n, seed, k))

@@ -39,10 +39,11 @@ __all__ = [
     "CanonicalSystem",
     "SpecError",
     "DegenerateNetworkError",
-    "superpose_tiers",
-    "apply_sectoring",
+    "Reduction",
+    "power_pmf",
     "power_moment",
     "fading_moment",
+    "reduce_network",
     "canonicalize",
     "noise_after_adding_tiers",
     "spec_from_json",
@@ -150,8 +151,8 @@ class LogNormalFading:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise SpecError(f"fading sigma must be >= 0, got {self.sigma}")
+        if not (self.sigma >= 0 and math.isfinite(self.sigma)):
+            raise SpecError(f"fading sigma must be finite and >= 0, got {self.sigma}")
 
     def moment(self, a: float) -> float:
         return math.exp(0.5 * (a * self.sigma) ** 2)
@@ -294,44 +295,6 @@ class CanonicalSystem:
         return self.epsilon / self.dim.l
 
 
-def superpose_tiers(spec: NetworkSpec) -> Tuple[float, PowerPmf]:
-    """Collapse the tier stack to one field with a random power mark.
-
-    The superposition of independent Poisson fields is Poisson with the
-    summed density, and a station belongs to tier i with probability
-    lambda_i / sum_j lambda_j, which becomes the power mass function.
-    """
-    total = spec.total_density
-    return total, PowerPmf.from_atoms(
-        (t.power, t.density / total) for t in spec.tiers
-    )
-
-
-def apply_sectoring(pmf: PowerPmf, sectors: Sequence[Optional[Sector]]) -> PowerPmf:
-    """Replace sectored atoms (kappa, p) by (gain, p*theta/2pi) plus zero mass.
-
-    A sectored station is heard at its gain with probability theta/(2*pi)
-    and not at all otherwise, so the missing mass moves to the zero-power
-    atom.  ``sectors`` runs parallel to ``pmf.atoms``; None entries pass
-    through unchanged.  The theta/(2*pi) facing probability is planar
-    geometry; it is applied verbatim in every dimension.
-    """
-    if len(sectors) != len(pmf.powers):
-        raise SpecError("sectors must align one-to-one with pmf atoms")
-    atoms = []
-    zero_mass = 0.0
-    for (kappa, p), sec in zip(pmf.atoms, sectors):
-        if sec is None:
-            atoms.append((kappa, p))
-        else:
-            f = sec.face_probability
-            atoms.append((sec.gain, p * f))
-            zero_mass += p * (1.0 - f)
-    if zero_mass > 0.0:
-        atoms.append((0.0, zero_mass))
-    return PowerPmf.from_atoms(atoms)
-
-
 def power_moment(pmf: PowerPmf, a: float) -> float:
     """E[K^a] for 0 < a < 1; the factor that absorbs power disparity."""
     if not (0.0 < a < 1.0):
@@ -346,9 +309,18 @@ def fading_moment(fading: Fading, a: float) -> float:
     return fading.moment(a)
 
 
-def _sectored_pmf(spec: NetworkSpec) -> PowerPmf:
-    # Sectoring is applied per tier before merging so that equal-power tiers
-    # with different antennas keep their own facing probabilities.
+def power_pmf(spec: NetworkSpec) -> PowerPmf:
+    """Power mark of one station of the superposed field, after sectoring.
+
+    The superposition of independent Poisson fields is Poisson with the
+    summed density, and a station belongs to tier i with probability
+    lambda_i / sum_j lambda_j.  A sectored station is heard at its gain with
+    probability theta/(2*pi) and not at all otherwise, so the missing mass
+    moves to the zero-power atom; the facing probability is planar geometry,
+    applied verbatim in every dimension.  Sectoring is applied per tier
+    before merging, so equal-power tiers with different antennas keep their
+    own facing probabilities.
+    """
     total = spec.total_density
     atoms = []
     zero_mass = 0.0
@@ -365,24 +337,40 @@ def _sectored_pmf(spec: NetworkSpec) -> PowerPmf:
     return PowerPmf.from_atoms(atoms)
 
 
-def canonicalize(spec: NetworkSpec) -> CanonicalSystem:
+@dataclass(frozen=True)
+class Reduction:
+    """The factors of lambda_eff and the canonical system they give."""
+
+    power_moment: float  # E[K^(l/eps)], powers taken after sectoring
+    fading_moment: float  # E[Psi^(l/eps)]
+    lambda_eff: float
+    canon: CanonicalSystem
+
+
+def reduce_network(spec: NetworkSpec) -> Reduction:
     """Reduce a full network to its canonical (l, epsilon, N') equivalent.
 
     N' = N * lambda_eff^(-eps/l) with
-    lambda_eff = total density * E[K^(l/eps)] * E[Psi^(l/eps)], powers taken
-    after sectoring.  A network whose whole power mass sits at zero is
-    rejected rather than mapped to N' = infinity.
+    lambda_eff = total density * E[K^(l/eps)] * E[Psi^(l/eps)].  A network
+    whose whole power mass sits at zero is rejected rather than mapped to
+    N' = infinity.
     """
     a = spec.a
-    pmf = _sectored_pmf(spec)
-    k_moment = pmf.moment(a)
+    k_moment = power_pmf(spec).moment(a)
     if k_moment == 0.0:
         raise DegenerateNetworkError(
             "all transmission-power mass is at zero; the network is empty"
         )
-    lam_eff = spec.total_density * k_moment * fading_moment(spec.fading, a)
+    psi_moment = fading_moment(spec.fading, a)
+    lam_eff = spec.total_density * k_moment * psi_moment
     nprime = spec.noise * lam_eff ** (-spec.epsilon / spec.dim.l)
-    return CanonicalSystem(dim=spec.dim, epsilon=spec.epsilon, nprime=nprime)
+    canon = CanonicalSystem(dim=spec.dim, epsilon=spec.epsilon, nprime=nprime)
+    return Reduction(k_moment, psi_moment, lam_eff, canon)
+
+
+def canonicalize(spec: NetworkSpec) -> CanonicalSystem:
+    """The canonical system of a network; see reduce_network."""
+    return reduce_network(spec).canon
 
 
 def noise_after_adding_tiers(

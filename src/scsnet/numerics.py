@@ -34,7 +34,6 @@ __all__ = [
     "InversionError",
     "kummer_1f1_neg_a",
     "g_integral",
-    "g_integral_bounded",
     "invert_tail",
     "invert_tail_result",
 ]
@@ -214,24 +213,6 @@ def kummer_1f1_neg_a(a: float, omega, switch: float = 30.0):
 _G_CUTOFF = 33.0
 
 
-def g_integral_bounded(lower: float, upper: float, ratio: float) -> float:
-    """G over a finite interval [lower, upper]; building block of g_integral."""
-    if ratio <= 1.0:
-        raise ValueError(f"ratio must exceed 1, got {ratio}")
-    if lower < 0 or upper < lower:
-        raise ValueError("need 0 <= lower <= upper")
-    if upper == lower:
-        return 0.0
-    inv = 1.0 / (ratio - 1.0)
-    expo = 1.0 / ratio
-
-    def f(v):
-        return v * math.exp(-v) / (1.0 + v * inv) ** expo
-
-    val, _ = quad(f, lower, upper, epsabs=1e-12, epsrel=1e-11, limit=200)
-    return val
-
-
 def g_integral(lower: float, ratio: float) -> float:
     """G(lower) = int_lower^inf v e^-v (1 + v/(ratio-1))^(-1/ratio) dv.
 
@@ -240,7 +221,18 @@ def g_integral(lower: float, ratio: float) -> float:
     accuracy ~1e-10.  Monotone decreasing in ``lower`` and increasing in
     ``ratio`` (towards 1, the ratio -> inf limit of Gamma(2)).
     """
-    return g_integral_bounded(lower, lower + _G_CUTOFF, ratio)
+    if ratio <= 1.0:
+        raise ValueError(f"ratio must exceed 1, got {ratio}")
+    if not (lower >= 0):
+        raise ValueError(f"lower must be >= 0, got {lower}")
+    inv = 1.0 / (ratio - 1.0)
+    expo = 1.0 / ratio
+
+    def f(v):
+        return v * math.exp(-v) / (1.0 + v * inv) ** expo
+
+    val, _ = quad(f, lower, lower + _G_CUTOFF, epsabs=1e-12, epsrel=1e-11, limit=200)
+    return val
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +308,7 @@ def _fit_tail_coefficient(charfn, Omega, p, n_windows=8, pts=128):
 
 
 def _invert_known_decay(charfn, x, p, A, tol, char_scale, max_evals):
-    """Core + analytic-tail path when phi(w) ~ A w^-p is known or fittable."""
+    """Panel core on [0, Omega] plus the analytic tail of phi(w) ~ A w^-p."""
     panel_w = math.pi / (char_scale + x)
     amag = abs(A) if A is not None else 1.0
     Omega = max(30.0, 15.0 / x)
@@ -341,99 +333,15 @@ def _invert_known_decay(charfn, x, p, A, tol, char_scale, max_evals):
     return value, err, evals
 
 
-def _wynn_epsilon(seq):
-    """Wynn's epsilon acceleration of a partial-sum sequence (even columns)."""
-    e0 = np.zeros(len(seq) + 1)
-    e1 = np.asarray(seq, dtype=float).copy()
-    best = e1[-1]
-    for k in range(1, len(seq)):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            d = e1[1:] - e1[:-1]
-            e2 = e0[1 : len(d) + 1] + 1.0 / d
-        e0, e1 = e1, e2
-        if k % 2 == 0 and len(e1) and np.isfinite(e1[-1]):
-            best = e1[-1]
-        if len(e1) <= 1:
-            break
-    return best
-
-
-def _fit_smooth_power(charfn, Omega, n_windows=6, pts=256):
-    """Fit Im[phi]/w ~ c w^-q on period-averaged samples of [Omega/2, Omega].
-
-    Returns (c, q) or None when the averaged data is not power-law-like
-    (purely oscillatory characteristic functions average to ~0 here).
-    """
-    centers = np.linspace(Omega / 2, Omega, n_windows)
-    means = []
-    for c0 in centers:
-        wg = np.linspace(c0 - math.pi, c0 + math.pi, pts, endpoint=False)
-        means.append(np.mean(np.imag(np.asarray(charfn(wg))) / wg))
-    means = np.asarray(means)
-    if np.any(means <= 0):
-        return None, n_windows * pts
-    X, Y = np.log(centers), np.log(means)
-    q = -np.polyfit(X, Y, 1)[0]
-    c = math.exp(float(np.mean(Y + q * X)))
-    if not (0.5 < q < 8.0) or np.max(np.abs(Y - (math.log(c) - q * X))) > 0.15:
-        return None, n_windows * pts
-    return (c, q), n_windows * pts
-
-
-def _invert_generic(charfn, x, tol, char_scale, max_evals):
-    """No decay model: doubling core + fitted smooth tail + Wynn acceleration."""
-    panel_w = math.pi / (char_scale + x)
-    Omega = max(40.0, 40.0 / x)
-    core, evals = _integrate_panels(charfn, x, 0.0, Omega, panel_w)
-    prev = None
-    est = None
-    err = math.inf
-    while evals < max_evals:
-        fit, n = _fit_smooth_power(charfn, Omega)
-        evals += n
-        smooth = 0.0
-        if fit is not None:
-            c, q = fit
-            smooth = c * Omega ** (1.0 - q) / (q - 1.0)
-        chunk_w = math.pi / max(1.0, x)
-        partials = []
-        total = 0.0
-        lo = Omega
-        for _ in range(32):
-            v, n = _integrate_panels(charfn, x, lo, lo + chunk_w, min(panel_w, chunk_w / 2))
-            evals += n
-            total += v
-            if fit is not None:
-                c, q = fit
-                total -= c * (lo ** (1 - q) - (lo + chunk_w) ** (1 - q)) / (q - 1)
-            partials.append(total)
-            lo += chunk_w
-        osc = _wynn_epsilon(partials)
-        est = (core + smooth + osc) / math.pi
-        if prev is not None:
-            err = abs(est - prev)
-            if err < tol / 2:
-                return est, max(err, 1e-12), evals
-        prev = est
-        v, n = _integrate_panels(charfn, x, Omega, 2 * Omega, panel_w)
-        core += v
-        evals += n
-        Omega *= 2
-    raise InversionError(
-        "tail inversion did not converge within its evaluation budget",
-        est if est is not None else core / math.pi, err, evals,
-    )
-
-
-DecaySpec = Union[None, float, Tuple[float, Optional[complex]]]
+DecaySpec = Union[float, Tuple[float, Optional[complex]]]
 
 
 def invert_tail_result(
     charfn: Callable[[np.ndarray], np.ndarray],
     eta: float,
     *,
+    decay: DecaySpec,
     tol: float = 1e-4,
-    decay: DecaySpec = None,
     char_scale: float = 1.0,
     max_evals: int = 4_000_000,
 ) -> QuadratureResult:
@@ -447,32 +355,26 @@ def invert_tail_result(
 
     ``charfn`` must accept an ndarray of w values.  ``decay`` describes the
     large-w envelope phi_X(w) ~ A w^-p: pass (p, A) when the coefficient is
-    known analytically, bare p to have A fitted from period-averaged samples,
-    or None for the fully empirical path (power-law fit plus Wynn epsilon
-    acceleration of the oscillatory remainder).  ``char_scale`` is the
-    dominant internal oscillation frequency of the charfn, used to size
-    quadrature panels.  Raises InversionError (carrying the partial value and
-    error estimate) if the budget is exhausted first.
+    known analytically, or bare p to have A fitted from period-averaged
+    samples; p must lie in (0, 1).  ``char_scale`` is the dominant internal
+    oscillation frequency of the charfn, used to size quadrature panels.
+    Raises InversionError (carrying the partial value and error estimate)
+    if the budget is exhausted first.
     """
-    if eta <= 0:
-        raise ValueError("eta must be > 0 for inversion; the eta = 0 tail is 1 by definition")
+    if not (eta > 0):
+        raise ValueError(f"eta must be > 0 for inversion, got {eta}; "
+                         "the eta = 0 tail is 1 by definition")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    x = 1.0 / eta
-    if decay is None:
-        value, err, evals = _invert_generic(charfn, x, tol, char_scale, max_evals)
-    else:
-        if isinstance(decay, tuple):
-            p, A = decay
-        else:
-            p, A = float(decay), None
-        if not (0.0 < p < 1.0):
-            raise ValueError(f"decay exponent must lie in (0, 1), got {p}")
-        value, err, evals = _invert_known_decay(charfn, x, p, A, tol, char_scale, max_evals)
+    p, A = decay if isinstance(decay, tuple) else (float(decay), None)
+    if not (0.0 < p < 1.0):
+        raise ValueError(f"decay exponent must lie in (0, 1), got {p}")
+    value, err, evals = _invert_known_decay(charfn, 1.0 / eta, p, A, tol,
+                                            char_scale, max_evals)
     return QuadratureResult(value=value, abs_error_estimate=err, evaluations=evals)
 
 
-def invert_tail(charfn, eta: float, *, tol: float = 1e-4, decay: DecaySpec = None,
+def invert_tail(charfn, eta: float, *, decay: DecaySpec, tol: float = 1e-4,
                 char_scale: float = 1.0, max_evals: int = 4_000_000) -> float:
     """Tail probability P(Y > eta) in [0, 1]; see invert_tail_result.
 

@@ -10,7 +10,6 @@ from scsnet import (
     LookupRangeError,
     LookupTable,
     NetworkSpec,
-    TailCurve,
     Tier,
     build_lookup_table,
     canonicalize,
@@ -25,7 +24,9 @@ from scsnet import (
     tail_cin,
     tail_cin_closed,
 )
+from scsnet.analytic import _decay_ci
 from scsnet.montecarlo import substream
+from scsnet.numerics import invert_tail_result
 
 D2 = Dimension(2)
 
@@ -434,15 +435,19 @@ class TestLookupTable:
             lookup(table, spec, 1.0)
 
 
-class TestTailCurve:
-    def test_accepts_nonincreasing(self):
-        TailCurve(etas=(0.5, 1.0, 2.0), probs=(0.8, 0.6, 0.4),
-                  method="exact-inversion")
+NOISY = CanonicalSystem(dim=D2, epsilon=4.0, nprime=0.1)
 
-    def test_rejects_increasing(self):
-        with pytest.raises(ValueError):
-            TailCurve(etas=(0.5, 1.0), probs=(0.4, 0.6), method="exact-inversion")
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            TailCurve(etas=(1.0,), probs=(1.5,), method="exact-inversion")
+@pytest.mark.parametrize("entry", [
+    lambda eta: tail_ci(2.0, eta),
+    lambda eta: tail_ci_closed(2.0, eta),
+    lambda eta: tail_ci2(2.0, eta),
+    lambda eta: tail_cin(NOISY, eta),
+    lambda eta: tail_cin_closed(NOISY, eta),
+    lambda eta: invert_tail_result(lambda w: charfn_inv_ci(2.0, w), eta,
+                                   decay=_decay_ci(0.5)),
+], ids=["tail_ci", "tail_ci_closed", "tail_ci2", "tail_cin", "tail_cin_closed",
+        "invert_tail_result"])
+def test_nan_threshold_fails_fast(entry):
+    with pytest.raises(ValueError, match="eta"):
+        entry(math.nan)

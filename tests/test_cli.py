@@ -143,7 +143,7 @@ class TestTail:
         assert code == 0
         rows = out.read_text().splitlines()
         assert rows[0] == "eta,tail,method"
-        assert all(r.endswith("few-bs") for r in rows[1:])
+        assert all(r.endswith(",fewbs") for r in rows[1:])
 
 
 class TestTableAndLookup:
@@ -201,8 +201,8 @@ class TestFigures:
             y = np.log([t for _, t in pts])
             slopes[method] = np.polyfit(x, y, 1)[0]
         # straight parallel lines above eta = 1: both slopes are -l/eps
-        assert slopes["exact-inversion"] == pytest.approx(-0.5, abs=0.01)
-        assert slopes["few-bs"] == pytest.approx(-0.5, abs=0.01)
+        assert slopes["exact"] == pytest.approx(-0.5, abs=0.01)
+        assert slopes["fewbs"] == pytest.approx(-0.5, abs=0.01)
 
     def test_fig3_monotone_in_noise(self, capsys, tmp_path):
         code, _, _ = run(capsys, "figures", "--which", "fig3",

@@ -17,12 +17,16 @@ from scsnet import (
     empirical_tail_ci,
     empirical_tail_cin,
     empirical_tail_fewbs,
-    realize,
-    sample_field,
     substream,
     tail_ci,
 )
-from scsnet.montecarlo import RngSeed, _arrival_matrix, _draw_marks
+from scsnet.montecarlo import (
+    _arrival_matrix,
+    _block_ps_pi,
+    _draw_marks,
+    _far_field_mean,
+    _simulate_blocks,
+)
 
 D2 = Dimension(2)
 
@@ -48,12 +52,9 @@ class TestSampleField:
 
     def test_increments_are_unit_exponential(self):
         rng = substream(2, 0)
-        incs = []
-        for _ in range(200):
-            r = sample_field(D2, 1.0, 6.0, rng)
-            t = D2.b * r**2 / 2
-            incs.append(np.diff(t))
-        incs = np.concatenate(incs)
+        t_max = D2.b * 6.0**2 / 2
+        t = _arrival_matrix(rng, 200, t_max, t_max)
+        incs = np.diff(t, axis=1, prepend=0.0).ravel()
         assert stats.kstest(incs, "expon").pvalue > 0.01
 
     def test_nearest_distance_median(self):
@@ -68,32 +69,38 @@ class TestSampleField:
         f_med = lam * D2.b * want * math.exp(-lam * D2.b * want**2 / 2)
         se = 1.0 / (2.0 * f_med * math.sqrt(len(r1)))
         assert abs(med - want) < 3.0 * se
-        # and the library path produces the same law (small-sample check)
-        rs = np.array([sample_field(D2, lam, 6.0, rng)[0] for _ in range(500)])
+        # and the block sampler produces the same law (small-sample check):
+        # with constant marks p_s = R1^-eps
+        blocks = _simulate_blocks(canonical(), 6.0, 500, 3)
+        rs = np.concatenate([p_s for p_s, _, _ in blocks]) ** (-1.0 / 4.0)
         assert abs(np.median(rs) - want) < 5.0 / (2.0 * f_med * math.sqrt(500))
 
     def test_ascending_and_bounded(self):
+        # every row is ascending and padded past t_max, also when the first
+        # guess of the column count (from mu) falls short
         rng = substream(4, 0)
-        r = sample_field(D2, 2.0, 3.0, rng)
-        assert np.all(np.diff(r) >= 0)
-        assert r.max() < 3.0
+        t_max = 2.0 * D2.b * 3.0**2 / 2
+        for mu in (t_max, 1.0):
+            t = _arrival_matrix(rng, 50, t_max, mu)
+            assert np.all(np.diff(t, axis=1) >= 0)
+            assert t[:, -1].min() >= t_max
 
     def test_domain(self):
-        rng = substream(5, 0)
-        with pytest.raises(ValueError):
-            sample_field(D2, 0.0, 1.0, rng)
-        with pytest.raises(ValueError):
-            sample_field(D2, 1.0, 0.0, rng)
+        for l, eps, r_max in ((3, 6.0, math.nan), (3, 6.0, 0.0), (3, 6.0, -1.0),
+                              (3, 6.0, math.inf), (2, 4.0, -5.0)):
+            with pytest.raises(ValueError, match="r_max"):
+                empirical_tail_ci(canonical(l=l, eps=eps), [1.0], 100, 5, r_max=r_max)
 
 
 class TestRealize:
     def test_serving_is_nearest_for_constant_marks(self):
         spec = canonical()
-        rng = substream(6, 0)
-        for _ in range(200):
-            r = realize(spec, 5.0, rng)
-            assert r.serving_index == 0
-            assert r.p_s == pytest.approx(r.distances[0] ** -4.0)
+        t_max = D2.b * 5.0**2 / 2
+        t = _arrival_matrix(substream(6, 0), 200, t_max, t_max)
+        p_s, _, ok = _block_ps_pi(spec, 5.0, 200, substream(6, 0))
+        assert ok.all()
+        r1 = (2.0 * t[:, 0] / D2.b) ** 0.5
+        np.testing.assert_allclose(p_s, r1**-4.0, rtol=1e-14)
 
     def test_full_beam_sectoring_matches_unsectored_bitwise(self):
         plain = canonical()
@@ -101,12 +108,10 @@ class TestRealize:
             dim=D2, epsilon=4.0,
             tiers=(Tier(1.0, 1.0, Sector(gain=1.0, beamwidth=2 * math.pi)),),
         )
-        r1 = realize(plain, 5.0, substream(42, 0))
-        r2 = realize(sect, 5.0, substream(42, 0))
-        np.testing.assert_array_equal(r1.distances, r2.distances)
-        assert r1.p_s == r2.p_s
-        assert r1.p_i == r2.p_i
-        assert r1.serving_index == r2.serving_index
+        b1 = _block_ps_pi(plain, 5.0, 500, substream(42, 0))
+        b2 = _block_ps_pi(sect, 5.0, 500, substream(42, 0))
+        for x1, x2 in zip(b1, b2):
+            np.testing.assert_array_equal(x1, x2)
 
     def test_zero_power_fraction_matches_sector_pmf(self):
         theta = 2 * math.pi / 3
@@ -124,11 +129,13 @@ class TestRealize:
     def test_moment_fading_cannot_be_sampled(self):
         spec = dataclasses.replace(canonical(), fading=MomentFading(1.3))
         with pytest.raises(UnsupportedSettingError):
-            realize(spec, 5.0, substream(8, 0))
+            empirical_tail_ci(spec, [1.0], 100, 8, r_max=5.0)
 
     def test_far_field_compensation_positive(self):
-        r = realize(canonical(), 5.0, substream(9, 0))
-        assert r.p_i > 0
+        far = _far_field_mean(canonical(), 5.0)
+        _, p_i, _ = _block_ps_pi(canonical(), 5.0, 100, substream(9, 0))
+        assert far > 0
+        assert np.all(p_i >= far)
 
 
 class TestEmpiricalTails:
@@ -260,6 +267,10 @@ class TestFewBs:
         ):
             assert abs(t_few - t_full) <= 0.016 + 2.0 * math.hypot(h_full, h_few)
 
+    def test_n_must_be_positive(self):
+        with pytest.raises(ValueError, match="n must be"):
+            empirical_tail_fewbs(canonical(), [1.0], 0, 1)
+
     def test_higher_k_supported(self):
         emp3 = empirical_tail_fewbs(canonical(), [0.5, 1.0], 20_000, 22, k=3)
         emp2 = empirical_tail_fewbs(canonical(), [0.5, 1.0], 20_000, 22, k=2)
@@ -269,17 +280,10 @@ class TestFewBs:
 
 
 class TestSeeding:
-    def test_rng_seed_type(self):
-        g1 = RngSeed(7, 3).generator()
-        g2 = substream(7, 3)
-        assert g1.random() == g2.random()
-
     def test_streams_differ(self):
         assert substream(7, 0).random() != substream(7, 1).random()
 
     def test_default_r_max_keeps_compensation_small(self):
-        from scsnet.montecarlo import _simulate_blocks
-
         spec = canonical()
         r = default_r_max(spec)
         comp = spec.total_density * D2.b * r**-2.0 / 2.0

@@ -15,15 +15,14 @@ from scsnet import (
     Sector,
     SpecError,
     Tier,
-    apply_sectoring,
     as_network_spec,
     canonicalize,
     fading_moment,
     noise_after_adding_tiers,
     power_moment,
+    power_pmf,
     sigma_db_to_natural,
     spec_from_json,
-    superpose_tiers,
 )
 
 
@@ -77,6 +76,11 @@ class TestValidation:
             Sector(gain=bad, beamwidth=math.pi)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_fading_sigma_must_be_finite(self, bad):
+        with pytest.raises(SpecError, match="sigma"):
+            LogNormalFading(bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_spec_epsilon_must_be_finite(self, bad):
         with pytest.raises(SpecError, match="epsilon"):
             spec_of([Tier(1.0, 1.0)], eps=bad)
@@ -111,27 +115,27 @@ class TestValidation:
 
 class TestSuperpose:
     def test_single_tier_is_itself(self):
-        total, pmf = superpose_tiers(spec_of([Tier(1.0, 5.0)]))
-        assert total == 1.0
-        assert pmf.atoms == [(5.0, 1.0)]
+        assert power_pmf(spec_of([Tier(1.0, 5.0)])).atoms == [(5.0, 1.0)]
 
     def test_equal_powers_merge(self):
-        total, pmf = superpose_tiers(spec_of([Tier(1.0, 1.0), Tier(3.0, 1.0)]))
-        assert total == 4.0
-        assert pmf.atoms == [(1.0, 1.0)]
+        spec = spec_of([Tier(1.0, 1.0), Tier(3.0, 1.0)])
+        assert spec.total_density == 4.0
+        assert power_pmf(spec).atoms == [(1.0, 1.0)]
 
     def test_two_tier_mixing(self):
-        total, pmf = superpose_tiers(spec_of([Tier(1.0, 10.0), Tier(3.0, 1.0)]))
-        assert total == 4.0
-        assert pmf.atoms == [(10.0, 0.25), (1.0, 0.75)]
+        spec = spec_of([Tier(1.0, 10.0), Tier(3.0, 1.0)])
+        assert spec.total_density == 4.0
+        assert power_pmf(spec).atoms == [(10.0, 0.25), (1.0, 0.75)]
 
     def test_density_sums_exactly(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             dens = rng.uniform(0.1, 5.0, size=rng.integers(1, 6))
             tiers = [Tier(d, 1.0 + i) for i, d in enumerate(dens)]
-            total, pmf = superpose_tiers(spec_of(tiers))
+            spec = spec_of(tiers)
+            total = spec.total_density
             assert total == sum(t.density for t in tiers)
+            pmf = power_pmf(spec)
             # probabilities proportional to densities
             for t in tiers:
                 j = pmf.powers.index(t.power)
@@ -140,39 +144,38 @@ class TestSuperpose:
 
 class TestSectoring:
     def test_omnidirectional_is_identity(self):
-        pmf = PowerPmf.from_atoms([(2.0, 0.5), (1.0, 0.5)])
-        out = apply_sectoring(
-            pmf, [Sector(gain=k, beamwidth=2 * math.pi) for k, _ in pmf.atoms]
-        )
-        assert out == pmf
+        tiers = [Tier(1.0, 2.0), Tier(1.0, 1.0)]
+        full_beam = [Tier(t.density, t.power, Sector(gain=t.power, beamwidth=2 * math.pi))
+                     for t in tiers]
+        assert power_pmf(spec_of(full_beam)) == power_pmf(spec_of(tiers))
 
     def test_half_beam_single_atom(self):
-        pmf = PowerPmf.from_atoms([(1.0, 1.0)])
-        out = apply_sectoring(pmf, [Sector(gain=1.0, beamwidth=math.pi)])
-        assert out.atoms == [(1.0, 0.5), (0.0, 0.5)]
+        spec = spec_of([Tier(1.0, 1.0, Sector(gain=1.0, beamwidth=math.pi))])
+        assert power_pmf(spec).atoms == [(1.0, 0.5), (0.0, 0.5)]
 
     def test_mixed_sectored_unsectored(self):
-        pmf = PowerPmf.from_atoms([(2.0, 0.5), (1.0, 0.5)])
-        out = apply_sectoring(pmf, [Sector(gain=4.0, beamwidth=math.pi), None])
-        assert out.atoms == [(4.0, 0.25), (1.0, 0.5), (0.0, 0.25)]
+        spec = spec_of([Tier(1.0, 2.0, Sector(gain=4.0, beamwidth=math.pi)),
+                        Tier(1.0, 1.0)])
+        assert power_pmf(spec).atoms == [(4.0, 0.25), (1.0, 0.5), (0.0, 0.25)]
 
     def test_mass_preserved_and_moment_never_grows(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             m = rng.integers(1, 5)
-            probs = rng.dirichlet(np.ones(m))
+            dens = rng.uniform(0.1, 5.0, m)
             powers = rng.uniform(0.1, 10.0, m)
-            pmf = PowerPmf.from_atoms(zip(powers.tolist(), probs.tolist()))
-            sectors = []
-            for k, _ in pmf.atoms:
+            plain, sectored = [], []
+            for d, k in zip(dens.tolist(), powers.tolist()):
+                plain.append(Tier(d, k))
                 if rng.random() < 0.5:
-                    sectors.append(None)
+                    sectored.append(Tier(d, k))
                 else:
                     # gain conserves mean power over the beam
                     theta = rng.uniform(0.2, 2 * math.pi)
-                    sectors.append(Sector(gain=k * 2 * math.pi / theta,
-                                          beamwidth=theta))
-            out = apply_sectoring(pmf, sectors)
+                    sectored.append(Tier(d, k, Sector(gain=k * 2 * math.pi / theta,
+                                                      beamwidth=theta)))
+            pmf = power_pmf(spec_of(plain))
+            out = power_pmf(spec_of(sectored))
             assert sum(out.probs) == pytest.approx(1.0, abs=1e-12)
             a = rng.uniform(0.05, 0.95)
             # with E[K] held fixed, concentrating power cannot raise E[K^a]
@@ -262,13 +265,11 @@ class TestCanonicalize:
 
     def test_equal_power_tiers_with_different_sectors(self):
         # merging must not conflate tiers whose antennas differ
-        from scsnet.network import _sectored_pmf
-
         spec = spec_of([
             Tier(1.0, 2.0, Sector(gain=4.0, beamwidth=math.pi)),
             Tier(1.0, 2.0),
         ])
-        pmf = _sectored_pmf(spec)
+        pmf = power_pmf(spec)
         assert pmf.atoms == [(4.0, 0.25), (2.0, 0.5), (0.0, 0.25)]
         # E[K^a] at a=1/2: 0.25*2 + 0.5*sqrt(2)
         expected = 0.25 * 2.0 + 0.5 * math.sqrt(2.0)
