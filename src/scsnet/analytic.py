@@ -84,9 +84,9 @@ def charfn_interference_given_r1(
         exp( (lambda0 b r1^l / l) * (1 - 1F1(-a; 1-a; i w K / r1^eps)) ),
     a characteristic function, so its modulus never exceeds 1.
     """
-    if r1 <= 0:
+    if not (r1 > 0):
         raise ValueError(f"r1 must be > 0, got {r1}")
-    if epsilon <= dim.l:
+    if not (epsilon > dim.l):
         raise ValueError(f"epsilon={epsilon} must exceed l={dim.l}")
     a = dim.l / epsilon
     w = np.asarray(omega, dtype=float)
@@ -101,7 +101,7 @@ def charfn_inv_ci(ratio: float, omega):
     Depends on the system only through ratio = eps/l, which is why C/I is
     blind to density, power scale, and (after reduction) fading.
     """
-    if ratio <= 1.0:
+    if not (ratio > 1.0):
         raise ValueError(f"ratio must exceed 1, got {ratio}")
     denom = kummer_1f1_neg_a(1.0 / ratio, omega)
     if np.any(np.abs(denom) < 1e-300):
@@ -186,7 +186,7 @@ def tail_ci(ratio: float, eta: float, *, tol: float = 1e-6) -> float:
     large-w tail of the inversion integral handled analytically from the
     known w^(-l/eps) envelope.
     """
-    if ratio <= 1.0:
+    if not (ratio > 1.0):
         raise ValueError(f"ratio must exceed 1, got {ratio}")
     if not (eta >= 0):
         raise ValueError(f"eta must be >= 0, got {eta}")
@@ -209,7 +209,7 @@ def tail_ci_closed(ratio: float, eta: float) -> float:
     is positive stable: E[e^-sI] = exp(-(b/l) Gamma(1-a) s^a).  Hence
     E[I^-a] = 1 / ((b/l) Gamma(1-a) Gamma(1+a)) and the sinc constant.
     """
-    if ratio <= 1.0:
+    if not (ratio > 1.0):
         raise ValueError(f"ratio must exceed 1, got {ratio}")
     if not (eta >= 1.0):
         raise ValueError(f"the closed form holds only on [1, inf), got eta={eta}")
@@ -233,7 +233,7 @@ def tail_cin_closed(canon: CanonicalSystem, eta: float, *, tol: float = 1e-5) ->
     the narrow peak of a very noisy system.  Raises InversionError if quad's
     error estimate, scaled like the value, exceeds ``tol``.
     """
-    if tol <= 0:
+    if not (tol > 0):
         raise ValueError("tol must be positive")
     rho = canon.ratio
     k = canon.dim.b / canon.dim.l * math.gamma(1.0 - canon.a)
@@ -271,12 +271,12 @@ def tail_ci2(ratio: float, eta: float) -> float:
     with u = (ratio-1)(1/eta - 1), C = G(0), D(eta) = G(u(eta)); u(1) = 0,
     so D(1) = C: continuous at eta = 1 and approaching 1 as eta -> 0.
     """
+    if not (ratio > 1.0):
+        raise ValueError(f"ratio must exceed 1, got {ratio}")
     if not (eta >= 0):
         raise ValueError(f"eta must be >= 0, got {eta}")
     if eta == 0:
         return 1.0
-    if ratio <= 1.0:
-        raise ValueError(f"ratio must exceed 1, got {ratio}")
     a = 1.0 / ratio
     if eta >= 1.0:
         return eta ** (-a) * _g_at_zero(ratio)
@@ -295,9 +295,9 @@ def conditional_tail_mean(
         lambda0 b_l K r_k^(l - eps) / (eps - l),
     the mean of the Poisson far field integrated from r_k.
     """
-    if r_k <= 0:
+    if not (r_k > 0):
         raise ValueError(f"r_k must be > 0, got {r_k}")
-    if epsilon <= dim.l:
+    if not (epsilon > dim.l):
         raise ValueError(f"epsilon={epsilon} must exceed l={dim.l}")
     return lambda0 * dim.b * power * r_k ** (dim.l - epsilon) / (epsilon - dim.l)
 

@@ -7,6 +7,8 @@ Three numerical primitives live here:
   the interference model needs; the parameter pair (-a, 1-a) makes the series
   coefficients collapse to -a/(k-a) and ties the function to the lower
   incomplete gamma function, 1F1(-a; 1-a; z) = (-a) (-z)^a gamma(-a, -z).
+  Two exact integral forms of that function are each integrated by one
+  fixed Gauss rule: Gauss-Jacobi for |w| <= 30, Gauss-Laguerre above.
 
 * ``g_integral`` computes G(lower) = int_lower^inf v e^-v
   (1 + v/(ratio-1))^(-1/ratio) dv, the building block of the strongest-two
@@ -22,12 +24,14 @@ Everything is a pure function; no global mutable state.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import roots_jacobi, roots_laguerre
 
 __all__ = [
     "QuadratureResult",
@@ -67,123 +71,60 @@ class InversionError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# double-double helpers (error-free float transformations)
-#
-# The Maclaurin series of 1F1(-a; 1-a; i*w) suffers catastrophic cancellation
-# for moderate |w|: terms grow to ~e^|w| while the sum stays O(|w|^a).  Plain
-# float64 loses all accuracy beyond |w| ~ 12, so the series branch runs in
-# double-double (~31 significant digits), which keeps the cancellation error
-# near 1e-31 * e^|w|, i.e. harmless up to the branch switch point.
+# 1F1(-a; 1-a; i*w): two exact integral forms (DLMF 8.6), one fixed Gauss
+# rule each, summed node by node so memory stays a few values per omega.
 # ---------------------------------------------------------------------------
 
-_SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
+_SWITCH = 30.0  # |omega| above which the Laguerre branch takes over
+_LAGUERRE_U, _LAGUERRE_W = roots_laguerre(8)
 
 
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
+@functools.cache
+def _jacobi_rule(a: float):
+    """24-node Gauss rule for int_0^1 t^-a f(t) dt: nodes t, weights.
 
-
-def _quick_two_sum(a, b):
-    s = a + b
-    return s, b - (s - a)
-
-
-def _two_prod(a, b):
-    p = a * b
-    c = _SPLITTER * a
-    ahi = c - (c - a)
-    alo = a - ahi
-    c = _SPLITTER * b
-    bhi = c - (c - b)
-    blo = b - bhi
-    return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-
-
-def _dd_add(xh, xl, yh, yl):
-    s, e = _two_sum(xh, yh)
-    return _quick_two_sum(s, e + xl + yl)
-
-
-def _dd_mul(xh, xl, yh, yl):
-    p, e = _two_prod(xh, yh)
-    return _quick_two_sum(p, e + xh * yl + xl * yh)
-
-
-def _dd_div(xh, xl, yh, yl):
-    q1 = xh / yh
-    ph, pl = _dd_mul(q1, 0.0, yh, yl)
-    rh, rl = _dd_add(xh, xl, -ph, -pl)
-    q2 = rh / yh
-    ph, pl = _dd_mul(q2, 0.0, yh, yl)
-    rh, rl = _dd_add(rh, rl, -ph, -pl)
-    s, e = _quick_two_sum(q1, q2)
-    return _dd_add(s, e, rh / yh, 0.0)
-
-
-def _series_1f1(a, omega, max_terms=500):
-    """Maclaurin series of 1F1(-a; 1-a; i*w), double-double accumulation.
-
-    term_{k+1} = term_k * (i*w) * (k - a) / ((k + 1 - a) * (k + 1)), and both
-    the recurrence and the accumulation run in double-double so the result is
-    accurate to ~1e-14 relative even at the e^|w| cancellation peak.
+    roots_jacobi(24, -a, 0) has weight (1-x)^-a on [-1, 1]; t = (1-x)/2.
+    Mapping the other end, roots_jacobi(24, 0, -a) with t = (1+x)/2, loses
+    accuracy to ~2e-12 at a near 1 through scipy's weights.
     """
-    w = np.asarray(omega, dtype=float)
-    zeros = np.zeros_like(w)
-    t_re_h, t_re_l = np.ones_like(w), zeros.copy()
-    t_im_h, t_im_l = zeros.copy(), zeros.copy()
-    s_re_h, s_re_l = np.ones_like(w), zeros.copy()
-    s_im_h, s_im_l = zeros.copy(), zeros.copy()
-    for k in range(max_terms):
-        num_h, num_l = _two_sum(float(k), -a)
-        den_h, den_l = _two_sum(float(k + 1), -a)
-        den_h, den_l = _dd_mul(den_h, den_l, float(k + 1), 0.0)
-        c_h, c_l = _dd_div(num_h, num_l, den_h, den_l)
-        f_h, f_l = _dd_mul(w, zeros, c_h, c_l)
-        # term *= i * f   (f real): (re, im) -> (-im*f, re*f)
-        n_re_h, n_re_l = _dd_mul(t_im_h, t_im_l, -f_h, -f_l)
-        t_im_h, t_im_l = _dd_mul(t_re_h, t_re_l, f_h, f_l)
-        t_re_h, t_re_l = n_re_h, n_re_l
-        s_re_h, s_re_l = _dd_add(s_re_h, s_re_l, t_re_h, t_re_l)
-        s_im_h, s_im_l = _dd_add(s_im_h, s_im_l, t_im_h, t_im_l)
-        if np.max(np.abs(t_re_h) + np.abs(t_im_h)) < 1e-26:
-            break
-    return s_re_h + 1j * s_im_h
+    x, w = roots_jacobi(24, -a, 0.0)
+    return (1.0 - x) / 2.0, w * 2.0 ** (a - 1.0)
 
 
-def _asymptotic_1f1(a, omega, max_corr=120):
-    """Large-|w| branch via the incomplete-gamma identity.
+def _jacobi_1f1(a, w):
+    """1F1 = 1 - a int_0^1 t^-a expm1(i w t)/t dt for w >= 0.
 
-    1F1(-a; 1-a; i*w) = Gamma(1-a) (-i*w)^a - (a/(i*w)) e^{i*w} S(w), where S
-    is the divergent large-argument correction series sum_m (a+1)_m (i*w)^-m,
-    truncated per lane at its smallest term (optimal truncation).
+    The series coefficients (-a)_k/(1-a)_k = -a/(k-a) = -a int_0^1 t^(k-a-1)
+    dt give this form; the integrand is entire against the weight t^-a.
     """
-    w = np.asarray(omega, dtype=float)
+    t, wt = _jacobi_rule(a)
+    acc = np.zeros(w.shape, dtype=complex)
+    for tj, wj in zip(t, wt):
+        acc += (wj / tj) * np.expm1((1j * tj) * w)
+    return 1.0 - a * acc
+
+
+def _laguerre_1f1(a, w):
+    """1F1 = Gamma(1-a) (-i w)^a - (a/(i w)) e^{i w} S(w) for w > 0.
+
+    S(w) = int_0^inf e^-u (1 + i u/w)^(-a-1) du, whose singularity at
+    u = i w lies at least 30 away from the Laguerre nodes.
+    """
+    s = np.zeros(w.shape, dtype=complex)
+    for uj, wj in zip(_LAGUERRE_U, _LAGUERRE_W):
+        s += wj * (1.0 + (1j * uj) / w) ** (-a - 1.0)
     z = 1j * w
-    lead = math.gamma(1.0 - a) * np.power(-z, a)
-    term = np.ones_like(z)
-    total = np.ones_like(z)
-    frozen = np.zeros(w.shape, dtype=bool)
-    last_mag = np.abs(term)
-    for m in range(1, max_corr):
-        term = term * (a + m) / z
-        mag = np.abs(term)
-        frozen |= mag >= last_mag
-        total = np.where(frozen, total, total + term)
-        last_mag = np.where(frozen, last_mag, mag)
-        if frozen.all():
-            break
-    return lead - (a / z) * np.exp(z) * total
+    return math.gamma(1.0 - a) * np.power(-z, a) - (a / z) * np.exp(z) * s
 
 
-def kummer_1f1_neg_a(a: float, omega, switch: float = 30.0):
+def kummer_1f1_neg_a(a: float, omega):
     """1F1(-a; 1-a; i*omega) for a in (0, 1) and real omega.
 
-    Accepts a scalar or array omega and returns complex values with relative
-    accuracy better than 1e-10 for |omega| <= 1e3 (in practice ~1e-13).
-    ``switch`` is the |omega| above which the asymptotic branch takes over;
-    both branches agree to ~1e-12 in a wide band around the default.
+    Accepts a scalar or array omega and returns complex values.  Against
+    mpmath the relative error is at most 4e-13 over a in [0.01, 0.99],
+    largest at a near 1 where the Jacobi branch ends (|omega| = 30); above
+    30 it measured below 3e-15 up to |omega| = 1e12.  F(0) is exactly 1 and
+    F(-omega) is exactly conj F(omega).
     """
     if not (0.0 < a < 1.0):
         raise ValueError(f"a must lie in (0, 1), got {a}")
@@ -194,11 +135,9 @@ def kummer_1f1_neg_a(a: float, omega, switch: float = 30.0):
     w1 = np.atleast_1d(w)
     out = np.empty(w1.shape, dtype=complex)
     wa = np.abs(w1)
-    small = wa <= switch
-    if small.any():
-        out[small] = _series_1f1(a, wa[small])
-    if (~small).any():
-        out[~small] = _asymptotic_1f1(a, wa[~small])
+    small = wa <= _SWITCH
+    out[small] = _jacobi_1f1(a, wa[small])
+    out[~small] = _laguerre_1f1(a, wa[~small])
     neg = w1 < 0
     out[neg] = np.conj(out[neg])  # real series coefficients: F(-w) = conj F(w)
     return out[0] if scalar else out
@@ -221,7 +160,7 @@ def g_integral(lower: float, ratio: float) -> float:
     accuracy ~1e-10.  Monotone decreasing in ``lower`` and increasing in
     ``ratio`` (towards 1, the ratio -> inf limit of Gamma(2)).
     """
-    if ratio <= 1.0:
+    if not (ratio > 1.0):
         raise ValueError(f"ratio must exceed 1, got {ratio}")
     if not (lower >= 0):
         raise ValueError(f"lower must be >= 0, got {lower}")
@@ -307,32 +246,6 @@ def _fit_tail_coefficient(charfn, Omega, p, n_windows=8, pts=128):
     return complex(np.mean(vals)), wg.size
 
 
-def _invert_known_decay(charfn, x, p, A, tol, char_scale, max_evals):
-    """Panel core on [0, Omega] plus the analytic tail of phi(w) ~ A w^-p."""
-    panel_w = math.pi / (char_scale + x)
-    amag = abs(A) if A is not None else 1.0
-    Omega = max(30.0, 15.0 / x)
-    while _tail_correction(Omega, x, p, amag)[1] > tol / 3.0:
-        Omega *= 1.4
-        if Omega / panel_w * 16 > max_evals:
-            break
-    evals = 0
-    if A is None:
-        A, n = _fit_tail_coefficient(charfn, Omega, p)
-        evals += n
-    core, n = _integrate_panels(charfn, x, 0.0, Omega, panel_w)
-    evals += n
-    corr, err = _tail_correction(Omega, x, p, A)
-    value = (core + corr) / math.pi
-    err = err / math.pi + 1e-13 * max(1.0, abs(core))
-    if evals > max_evals or err > tol:
-        raise InversionError(
-            f"tail inversion exceeded its budget (estimated error {err:.2e})",
-            value, err, evals,
-        )
-    return value, err, evals
-
-
 DecaySpec = Union[float, Tuple[float, Optional[complex]]]
 
 
@@ -364,13 +277,34 @@ def invert_tail_result(
     if not (eta > 0):
         raise ValueError(f"eta must be > 0 for inversion, got {eta}; "
                          "the eta = 0 tail is 1 by definition")
-    if tol <= 0:
+    if not (tol > 0):
         raise ValueError("tol must be positive")
     p, A = decay if isinstance(decay, tuple) else (float(decay), None)
     if not (0.0 < p < 1.0):
         raise ValueError(f"decay exponent must lie in (0, 1), got {p}")
-    value, err, evals = _invert_known_decay(charfn, 1.0 / eta, p, A, tol,
-                                            char_scale, max_evals)
+    # panel core on [0, Omega] plus the analytic tail of phi(w) ~ A w^-p
+    x = 1.0 / eta
+    panel_w = math.pi / (char_scale + x)
+    amag = abs(A) if A is not None else 1.0
+    Omega = max(30.0, 15.0 / x)
+    while _tail_correction(Omega, x, p, amag)[1] > tol / 3.0:
+        Omega *= 1.4
+        if Omega / panel_w * 16 > max_evals:
+            break
+    evals = 0
+    if A is None:
+        A, n = _fit_tail_coefficient(charfn, Omega, p)
+        evals += n
+    core, n = _integrate_panels(charfn, x, 0.0, Omega, panel_w)
+    evals += n
+    corr, err = _tail_correction(Omega, x, p, A)
+    value = (core + corr) / math.pi
+    err = err / math.pi + 1e-13 * max(1.0, abs(core))
+    if evals > max_evals or err > tol:
+        raise InversionError(
+            f"tail inversion exceeded its budget (estimated error {err:.2e})",
+            value, err, evals,
+        )
     return QuadratureResult(value=value, abs_error_estimate=err, evaluations=evals)
 
 

@@ -26,7 +26,7 @@ from scsnet import (
 )
 from scsnet.analytic import _decay_ci
 from scsnet.montecarlo import substream
-from scsnet.numerics import invert_tail_result
+from scsnet.numerics import g_integral, invert_tail_result
 
 D2 = Dimension(2)
 
@@ -451,3 +451,38 @@ NOISY = CanonicalSystem(dim=D2, epsilon=4.0, nprime=0.1)
 def test_nan_threshold_fails_fast(entry):
     with pytest.raises(ValueError, match="eta"):
         entry(math.nan)
+
+
+@pytest.mark.parametrize("entry, name", [
+    (lambda: tail_ci(math.nan, 2.0), "ratio"),
+    (lambda: tail_ci(math.nan, 0.5), "ratio"),
+    (lambda: tail_ci_closed(math.nan, 2.0), "ratio"),
+    (lambda: tail_ci2(math.nan, 2.0), "ratio"),
+    (lambda: tail_ci2(0.5, 0.0), "ratio"),
+    (lambda: charfn_inv_ci(math.nan, 1.0), "ratio"),
+    (lambda: g_integral(0.0, math.nan), "ratio"),
+    (lambda: conditional_tail_mean(1.0, 1.0, D2, 4.0, math.nan), "r_k"),
+    (lambda: conditional_tail_mean(1.0, 1.0, D2, math.nan, 1.0), "epsilon"),
+    (lambda: charfn_interference_given_r1(D2, 4.0, 1.0, 1.0, 1.0, math.nan), "r1"),
+    (lambda: charfn_interference_given_r1(D2, math.nan, 1.0, 1.0, 1.0, 1.0), "epsilon"),
+], ids=["tail_ci", "tail_ci_below_one", "tail_ci_closed", "tail_ci2",
+        "tail_ci2_eta_zero", "charfn_inv_ci", "g_integral", "conditional_tail_mean",
+        "conditional_tail_mean_epsilon", "charfn_interference", "charfn_interference_epsilon"])
+def test_nan_ratio_or_radius_fails_fast(entry, name):
+    with pytest.raises(ValueError, match=name):
+        entry()
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0])
+@pytest.mark.parametrize("entry", [
+    lambda tol: tail_ci(2.0, 0.5, tol=tol),
+    lambda tol: tail_cin(NOISY, 0.5, tol=tol),
+    lambda tol: tail_cin(NOISY, 2.0, tol=tol),
+    lambda tol: tail_cin_closed(NOISY, 2.0, tol=tol),
+    lambda tol: invert_tail_result(lambda w: charfn_inv_ci(2.0, w), 0.5,
+                                   decay=_decay_ci(0.5), tol=tol),
+], ids=["tail_ci", "tail_cin", "tail_cin_above_one", "tail_cin_closed",
+        "invert_tail_result"])
+def test_bad_tol_fails_fast(entry, tol):
+    with pytest.raises(ValueError, match="tol"):
+        entry(tol)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -44,26 +45,45 @@ class TestKummer:
         ref = series_oracle(0.5, 1.0)
         assert abs(got - ref) / abs(ref) < 1e-8
 
-    @pytest.mark.parametrize("a", [0.1, 0.25, 0.5, 0.75, 0.9])
+    @pytest.mark.parametrize("a", [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99])
     def test_against_oracle_across_omega(self, a):
         omegas = np.concatenate([
+            np.geomspace(1e-9, 1e-2, 4),
             np.linspace(0.1, 29.0, 15),
+            [30.0],  # top of the Jacobi branch, its largest error
             np.linspace(31.0, 80.0, 10),
-            np.geomspace(100.0, 1000.0, 8),
+            np.geomspace(100.0, 1e5, 12),
         ])
         got = kummer_1f1_neg_a(a, omegas)
         for w, g in zip(omegas, got):
             ref = complex(mp.hyp1f1(-a, 1 - a, 1j * mp.mpf(float(w))))
-            assert abs(g - ref) / abs(ref) < 1e-10, f"a={a}, w={w}"
+            assert abs(g - ref) / abs(ref) < 1e-12, f"a={a}, w={w}"
 
     @pytest.mark.parametrize("a", [0.1, 0.25, 0.5, 0.75, 0.9])
     def test_branches_agree_in_crossover_band(self, a):
-        from scsnet.numerics import _asymptotic_1f1, _series_1f1
+        from scsnet.numerics import _jacobi_1f1, _laguerre_1f1
 
         band = np.linspace(25.0, 35.0, 21)
-        se = _series_1f1(a, band)
-        asym = _asymptotic_1f1(a, band)
-        assert np.max(np.abs(se - asym) / np.abs(se)) < 1e-7
+        jac = _jacobi_1f1(a, band)
+        lag = _laguerre_1f1(a, band)
+        assert np.max(np.abs(jac - lag) / np.abs(jac)) < 1e-12
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 30.0), (30.5, 1e5)],
+                             ids=["jacobi", "laguerre"])
+    def test_memory_stays_a_few_values_per_omega(self, lo, hi):
+        # Accumulating node by node keeps the peak to a few 1-D arrays; each
+        # (omega x nodes) temporary of a matrix form takes 24 (Jacobi) or 8
+        # (Laguerre) complex values per omega.
+        w = np.linspace(lo, hi, 200_000)
+        kummer_1f1_neg_a(0.5, w[:10])  # build the cached Jacobi rule first
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            kummer_1f1_neg_a(0.5, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - base) / (16 * w.size) < 16
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
