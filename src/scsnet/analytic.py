@@ -356,10 +356,14 @@ class LookupTable:
         v = np.asarray(self.values, dtype=float)
         if v.shape != (len(self.epsilons), len(self.nprimes), len(self.etas)):
             raise ValueError("values shape must match the grids")
-        if np.any(v < 0) or np.any(v > 1):
+        if not np.all((v >= 0) & (v <= 1)):
             raise ValueError("table values must lie in [0, 1]")
-        if any(n <= 0 for n in self.nprimes):
-            raise ValueError("nprime grid must be positive")
+        if not all(math.isfinite(e) and e > self.l for e in self.epsilons):
+            raise ValueError(f"epsilons must be finite and > l={self.l}")
+        if not all(math.isfinite(n) and n > 0 for n in self.nprimes):
+            raise ValueError("nprimes must be finite and > 0")
+        if not all(math.isfinite(e) and e >= 0 for e in self.etas):
+            raise ValueError("etas must be finite and >= 0")
         for name, grid in (("epsilons", self.epsilons),
                            ("nprimes", self.nprimes), ("etas", self.etas)):
             if list(grid) != sorted(grid):
@@ -436,7 +440,7 @@ def build_lookup_table(
     if not (len(epsilon_grid) and len(nprime_grid) and len(eta_grid)):
         raise ValueError("all grids must be nonempty")
     nprimes = list(nprime_grid)
-    if nprimes != sorted(nprimes) or nprimes[0] <= 0:
+    if nprimes != sorted(nprimes) or not nprimes[0] > 0:
         raise ValueError("nprime grid must be positive and sorted")
     if threads is None:
         threads = int(os.environ.get("SCS_THREADS", "1"))

@@ -183,10 +183,11 @@ def cmd_tail(args) -> int:
         _write_manifest(out, "tail", {**_spec_args(args), "metric": args.metric,
                                       "method": args.method, "etas": etas,
                                       "n": args.n, "seed": args.seed,
-                                      "rejections": emp.n_rejected},
+                                      "rejections": emp.n_rejected,
+                                      "r_max": emp.r_max},
                         [out], started)
         print(f"wrote {out} ({len(etas)} points, n={args.n}, "
-              f"rejections={emp.n_rejected})")
+              f"rejections={emp.n_rejected}, r_max={emp.r_max:.6g})")
         return 0
     out = Path(args.out)
     with open(out, "w", encoding="utf-8", newline="\n") as fh:

@@ -1,13 +1,13 @@
 """Independent Monte Carlo oracle for signal-quality distributions.
 
-Fields are drawn through the radial arrival representation: with
-T = lambda b_l R^l / l, the ordered station distances map to the arrival
-times of a unit-rate Poisson process, so a field is a cumulative sum of
-Exp(1) increments inverted back to distances and truncated at r_max.  Each
-station gets an i.i.d. power mark (tier mixing, then sector thinning) and an
-i.i.d. fading mark; the serving station is the strongest received power, and
-the interference beyond r_max is compensated by its exact conditional mean
-so truncation leaves no first-order bias.
+Each tier is drawn as its own Poisson field; superposed, they are the
+network.  A sector faces the receiver with probability theta/(2 pi),
+independently per station, so a sectored tier is heard as its thinning to
+density lambda theta/(2 pi) at the sector gain.  Within r_max a tier has a
+Poisson(lambda' b r_max^l / l) count of stations, uniform in the ball.  Each
+station carries an i.i.d. fading mark; the serving station is the strongest
+received power, and the interference beyond r_max is compensated by its
+exact mean so truncation leaves no first-order bias.
 
 Reproducibility contract: realization j lives in block j // BLOCK_SIZE at
 row j % BLOCK_SIZE, and block b draws from the counter-indexed Philox
@@ -30,7 +30,6 @@ from .network import (
     MomentFading,
     NetworkSpec,
     NoFading,
-    power_pmf,
 )
 
 __all__ = [
@@ -47,6 +46,9 @@ __all__ = [
 
 BLOCK_SIZE = 4096
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
+# Expected stations per block, over all tiers, above which r_max is refused
+# (2^26 doubles are 512 MiB; the l = 2, eps = 3 canonical field needs 4e7).
+_MAX_BLOCK_STATIONS = 1 << 26
 
 
 class UnsupportedSettingError(ValueError):
@@ -71,6 +73,7 @@ class EmpiricalTail:
     seed: int
     method: str
     n_rejected: int = 0
+    r_max: Optional[float] = None  # truncation radius; None for the k-nearest draw
 
     def lower(self) -> np.ndarray:
         return np.maximum(np.asarray(self.tails) - np.asarray(self.halfwidths), 0.0)
@@ -90,82 +93,67 @@ class EmpiricalTail:
 # ---------------------------------------------------------------------------
 
 
-def _arrival_matrix(rng, rows: int, t_max: float, mu: float) -> np.ndarray:
-    """Unit-rate arrival times per row, padded so every row passes t_max."""
-    cols = int(mu + 8.0 * math.sqrt(mu) + 16.0)
-    t = rng.exponential(size=(rows, cols)).cumsum(axis=1)
-    while t[:, -1].min() < t_max:
-        extra = rng.exponential(size=(rows, 32)).cumsum(axis=1)
-        t = np.hstack([t, t[:, -1:] + extra])
-    return t
+def _heard_tiers(spec: NetworkSpec):
+    """(density, power) of each audible tier; a sectored tier is thinned to
+    the stations facing the receiver, heard at the sector gain."""
+    heard = [(t.density, t.power) if t.sector is None
+             else (t.density * t.sector.face_probability, t.sector.gain)
+             for t in spec.tiers]
+    return [(lam, p) for lam, p in heard if lam > 0.0 and p > 0.0]
 
 
-def _draw_marks(spec: NetworkSpec, rng, shape):
-    """Power and fading marks for a matrix of stations.
-
-    Draw order is fixed: tier mixing uniforms (only when there are several
-    tiers), fading, then sector-facing uniforms last (only when some tier is
-    sectored).  A fully omnidirectional sectored network therefore consumes
-    the same pre-sector draws as its unsectored twin and produces identical
-    realizations under the same seed.
-    """
-    tiers = spec.tiers
-    if len(tiers) > 1:
-        probs = np.array([t.density for t in tiers]) / spec.total_density
-        edges = np.cumsum(probs)
-        tier_idx = np.searchsorted(edges, rng.random(shape), side="right")
-        tier_idx = np.minimum(tier_idx, len(tiers) - 1)
-    else:
-        tier_idx = np.zeros(shape, dtype=int)
-    powers = np.array([t.power for t in tiers])[tier_idx]
+def _far_field_mean(spec: NetworkSpec, r_max: float) -> float:
+    """Expected interference from beyond r_max: the heard power density
+    sum_i lambda'_i P_i E[Psi] integrated outward against r^-eps."""
     if isinstance(spec.fading, MomentFading):
         raise UnsupportedSettingError(
             "moment-only fading cannot be sampled; use the analytic path"
         )
-    if isinstance(spec.fading, LogNormalFading):
-        fad = np.exp(spec.fading.sigma * rng.standard_normal(shape))
-    else:
-        fad = np.ones(shape)
-    if any(t.sector is not None for t in tiers):
-        u = rng.random(shape)
-        for i, t in enumerate(tiers):
-            if t.sector is None:
-                continue
-            sel = tier_idx == i
-            powers[sel] = np.where(
-                u[sel] < t.sector.face_probability, t.sector.gain, 0.0
-            )
-    return powers, fad
-
-
-def _far_field_mean(spec: NetworkSpec, r_max: float) -> float:
-    """Expected interference from beyond r_max: the conditional-mean integrand
-    integrated outward, with the mean power and fading marks."""
-    mean_power = power_pmf(spec).mean
-    mean_fading = spec.fading.mean if not isinstance(spec.fading, MomentFading) else None
-    if mean_fading is None:
-        raise UnsupportedSettingError(
-            "moment-only fading cannot be sampled; use the analytic path"
-        )
     l, b, eps = spec.dim.l, spec.dim.b, spec.epsilon
-    return (
-        spec.total_density * mean_power * mean_fading
-        * b * r_max ** (l - eps) / (eps - l)
-    )
+    power_density = sum(lam * p for lam, p in _heard_tiers(spec)) * spec.fading.mean
+    return power_density * b * r_max ** (l - eps) / (eps - l)
+
+
+def _tier_points(rng, rows: int, mu: float):
+    """Per-row station counts, Poisson(mu), and the stations' volume
+    fractions U in (0, 1], stored back to back row by row.  Given its count,
+    a row's stations are uniform in the ball: station j sits at r_max U_j^(1/l).
+    """
+    counts = rng.poisson(mu, size=rows)
+    return counts, 1.0 - rng.random(int(counts.sum()))
 
 
 def _block_ps_pi(spec: NetworkSpec, r_max: float, rows: int, rng):
-    """(p_s, p_i, accepted mask) for a block of realizations."""
+    """(p_s, p_i, accepted mask) for a block of realizations.
+
+    Draw order is fixed: tiers in spec order, and per tier the station
+    counts, then the positions, then (under log-normal fading with
+    sigma > 0) one standard normal per station.  A full-beam sector
+    therefore draws exactly what its unsectored twin draws.
+    """
     l, b, eps = spec.dim.l, spec.dim.b, spec.epsilon
-    lam = spec.total_density
-    t_max = lam * b * r_max**l / l
-    t = _arrival_matrix(rng, rows, t_max, t_max)
-    powers, fad = _draw_marks(spec, rng, t.shape)
-    radii = (l * t / (lam * b)) ** (1.0 / l)
-    received = np.where(t < t_max, powers * fad * radii ** (-eps), 0.0)
-    p_s = received.max(axis=1)
-    p_i = received.sum(axis=1) - p_s + _far_field_mean(spec, r_max)
-    return p_s, p_i, p_s > 0.0
+    far = _far_field_mean(spec, r_max)
+    sigma = spec.fading.sigma if isinstance(spec.fading, LogNormalFading) else 0.0
+    p_s, total = np.zeros(rows), np.zeros(rows)
+    for lam, power in _heard_tiers(spec):
+        counts, rx = _tier_points(rng, rows, lam * b * r_max**l / l)
+        # received power P Psi R^-eps, with R^-eps = r_max^-eps U^(-eps/l)
+        gain = power * r_max ** (-eps)
+        if sigma > 0.0:  # one exp(sigma Z + log gain - (eps/l) log U)
+            np.log(rx, out=rx)
+            rx *= -eps / l
+            rx += sigma * rng.standard_normal(rx.size) + math.log(gain)
+            np.exp(rx, out=rx)
+        else:
+            np.power(rx, -eps / l, out=rx)
+            rx *= gain
+        # reduce over the nonempty rows only: reduceat would give an empty
+        # row the next row's first station
+        heard = counts > 0
+        starts = (np.cumsum(counts) - counts)[heard]
+        p_s[heard] = np.maximum(p_s[heard], np.maximum.reduceat(rx, starts))
+        total[heard] += np.add.reduceat(rx, starts)
+    return p_s, total - p_s + far, p_s > 0.0
 
 
 # pilot runs (radius calibration) draw from streams far above any block index
@@ -179,7 +167,19 @@ def _simulate_blocks(spec: NetworkSpec, r_max: float, n: int, seed: int,
     Degenerate rows (no positive received power within r_max) are redrawn
     from the continuation of the same substream, so acceptance conditioning
     is explicit and the whole stream stays a pure function of (seed, spec).
+    A field with no audible station, or whose block would expect more than
+    _MAX_BLOCK_STATIONS stations, is refused before any draw.
     """
+    heard = _heard_tiers(spec)
+    if not heard:
+        raise UnsupportedSettingError("no station can be heard: every tier has power 0")
+    l, rows = spec.dim.l, min(BLOCK_SIZE, n)
+    with np.errstate(over="ignore"):
+        stations = rows * sum(lam for lam, _ in heard) * spec.dim.b / l * np.float64(r_max)**l
+    if stations > _MAX_BLOCK_STATIONS:
+        raise UnsupportedSettingError(
+            f"r_max={r_max:.6g} expects {stations:.3g} stations in a block of {rows}"
+            f" rows, above the limit of {_MAX_BLOCK_STATIONS}; pass a smaller r_max")
     n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
     for blk in range(n_blocks):
         rows = min(BLOCK_SIZE, n - blk * BLOCK_SIZE)
@@ -202,7 +202,7 @@ def default_r_max(spec: NetworkSpec, *, fraction: float = 0.01,
 
     A pilot run at a provisional radius estimates the typical (median) total
     interference; the radius then solves
-    lambda E[K] E[Psi] b r^(l-eps) / (eps - l) = fraction * typical.
+    sum_i lambda'_i P_i E[Psi] b r^(l-eps) / (eps - l) = fraction * typical.
     The median is used because the mean interference diverges for
     eps >= 2l and a sample mean would be dominated by rare close pairs.
     """
@@ -214,10 +214,7 @@ def default_r_max(spec: NetworkSpec, *, fraction: float = 0.01,
                                         stream_base=_PILOT_STREAM_BASE):
         pilot.append(p_i)
     typical = float(np.median(np.concatenate(pilot)))
-    mean_power = power_pmf(spec).mean
-    mean_fading = spec.fading.mean
-    target = fraction * typical * (eps - l) / (lam * mean_power * mean_fading * b)
-    r = target ** (1.0 / (l - eps))
+    r = (fraction * typical / _far_field_mean(spec, 1.0)) ** (1.0 / (l - eps))
     return max(r, r_pilot * 0.25)
 
 
@@ -238,8 +235,9 @@ def _require_fewbs_setting(spec: NetworkSpec):
 def _empirical(etas, n, seed, method, blocks: Iterator) -> EmpiricalTail:
     """Count ratio values above each eta over ``blocks`` and assemble the tail.
 
-    ``blocks`` is a lazy iterator of (ratio values, rejections) per block; it
-    starts drawing only after etas and n have been checked.
+    ``blocks`` is a lazy iterator of (ratio values, rejections, truncation
+    radius) per block; it starts drawing only after etas and n have been
+    checked.
     """
     etas = [float(e) for e in etas]
     if etas != sorted(etas):
@@ -249,7 +247,7 @@ def _empirical(etas, n, seed, method, blocks: Iterator) -> EmpiricalTail:
     counts = np.zeros(len(etas), dtype=np.int64)
     rejected = 0
     eta_arr = np.asarray(etas)
-    for vals, rej in blocks:
+    for vals, rej, r_max in blocks:
         counts += (vals[:, None] > eta_arr[None, :]).sum(axis=0)
         rejected += rej
     tails = counts / n
@@ -257,7 +255,7 @@ def _empirical(etas, n, seed, method, blocks: Iterator) -> EmpiricalTail:
     return EmpiricalTail(
         etas=tuple(etas), tails=tuple(float(t) for t in tails),
         halfwidths=tuple(float(h) for h in hw),
-        n=n, seed=seed, method=method, n_rejected=rejected,
+        n=n, seed=seed, method=method, n_rejected=rejected, r_max=r_max,
     )
 
 
@@ -269,7 +267,7 @@ def _field_ratios(spec: NetworkSpec, n: int, seed: int, r_max: Optional[float],
     elif not (math.isfinite(r_max) and r_max > 0):
         raise ValueError(f"r_max must be finite and > 0, got {r_max}")
     for p_s, p_i, rej in _simulate_blocks(spec, r_max, n, seed):
-        yield p_s / (p_i + noise), rej
+        yield p_s / (p_i + noise), rej, r_max
 
 
 def empirical_tail_ci(spec: NetworkSpec, etas: Sequence[float], n: int,
@@ -300,7 +298,7 @@ def _fewbs_ratios(spec: NetworkSpec, n: int, seed: int, k: int):
         exact = (kpow * radii[:, 1:k] ** (-eps)).sum(axis=1) if k >= 2 else 0.0
         r_k = radii[:, k - 1]
         mean_rest = lam * b * kpow * r_k ** (l - eps) / (eps - l)
-        yield p_s / (exact + mean_rest), 0
+        yield p_s / (exact + mean_rest), 0, None
 
 
 def empirical_tail_fewbs(spec: NetworkSpec, etas: Sequence[float], n: int,

@@ -385,8 +385,10 @@ def noise_after_adding_tiers(
     """
     if base.power <= 0:
         raise SpecError("base tier power must be > 0")
-    if epsilon <= dim.l:
-        raise SpecError(f"epsilon={epsilon} must exceed l={dim.l}")
+    if not (math.isfinite(epsilon) and epsilon > dim.l):
+        raise SpecError(f"epsilon={epsilon} must be finite and exceed l={dim.l}")
+    if not (math.isfinite(noise) and noise >= 0):
+        raise SpecError(f"noise must be finite and >= 0, got {noise}")
     a = dim.l / epsilon
     n1 = noise * base.density ** (-epsilon / dim.l) / base.power
     s = sum(

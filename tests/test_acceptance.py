@@ -226,13 +226,15 @@ def test_criterion_10_sectoring():
     canon = canonicalize(spec)
     emp = empirical_tail_cin(spec, [1.0], 200_000, 1000)
     ok_tail = abs(tail_cin(canon, 1.0) - emp.tails[0]) <= emp.halfwidths[0]
-    # zero-power fraction among station marks
-    from scsnet.montecarlo import _draw_marks
+    # the serving station is the nearest facing one:
+    # P(p_s > G r^-eps) = 1 - exp(-lambda theta/(2 pi) b r^l / l)
+    from scsnet.montecarlo import _block_ps_pi
 
-    powers, _ = _draw_marks(spec, substream(1001, 0), (100_000,))
-    frac = float((powers == 0.0).mean())
-    want = 1.0 - theta / (2.0 * math.pi)
-    se = math.sqrt(want * (1.0 - want) / powers.size)
+    r = 1.0
+    p_s, _, _ = _block_ps_pi(spec, 2.0, 100_000, substream(1001, 0))
+    frac = float((p_s > gain * r**-4.0).mean())
+    want = 1.0 - math.exp(-theta / (2.0 * math.pi) * D2.b * r**2 / 2.0)
+    se = math.sqrt(want * (1.0 - want) / p_s.size)
     ok_frac = abs(frac - want) <= 3.0 * se
     report(10, "120-degree sectoring matches the sector-reduced canonical law",
            ok_tail and ok_frac)

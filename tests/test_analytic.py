@@ -18,6 +18,7 @@ from scsnet import (
     charfn_inv_cin,
     conditional_tail_mean,
     lookup,
+    noise_after_adding_tiers,
     tail_ci,
     tail_ci2,
     tail_ci_closed,
@@ -486,3 +487,24 @@ def test_nan_ratio_or_radius_fails_fast(entry, name):
 def test_bad_tol_fails_fast(entry, tol):
     with pytest.raises(ValueError, match="tol"):
         entry(tol)
+
+
+@pytest.mark.parametrize("entry, name", [
+    (lambda: LookupTable(2, (3.0, math.nan), (0.1,), (0.5,), np.full((2, 1, 1), 0.5)),
+     "epsilons"),
+    (lambda: LookupTable(2, (3.0,), (math.nan,), (0.5,), np.full((1, 1, 1), 0.5)),
+     "nprimes"),
+    (lambda: LookupTable(2, (3.0,), (0.1,), (math.nan,), np.full((1, 1, 1), 0.5)),
+     "etas"),
+    (lambda: LookupTable(2, (3.0,), (0.1,), (0.5,), np.full((1, 1, 1), math.nan)),
+     "values"),
+    (lambda: build_lookup_table(2, [3.0], [math.nan], [0.5]), "nprime"),
+    (lambda: noise_after_adding_tiers(Tier(1.0, 1.0), [Tier(1.0, 1.0)], D2, math.nan, 0.1),
+     "epsilon"),
+    (lambda: noise_after_adding_tiers(Tier(1.0, 1.0), [Tier(1.0, 1.0)], D2, 4.0, math.nan),
+     "noise"),
+], ids=["table_epsilon", "table_nprime", "table_eta", "table_value", "build_nprime",
+        "added_tiers_epsilon", "added_tiers_noise"])
+def test_nan_grid_or_noise_fails_fast(entry, name):
+    with pytest.raises(ValueError, match=name):
+        entry()

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from scsnet import default_r_max, load_spec
 from scsnet.cli import main
 
 
@@ -135,6 +136,7 @@ class TestTail:
         assert manifest["command"] == "tail"
         assert manifest["args"]["seed"] == 9
         assert "spec_sha256" in manifest["args"]
+        assert manifest["args"]["r_max"] == default_r_max(load_spec(spec_path), seed=9)
 
     def test_fewbs_method(self, capsys, spec_path, tmp_path):
         out = tmp_path / "f.csv"

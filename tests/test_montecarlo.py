@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,15 +18,17 @@ from scsnet import (
     empirical_tail_ci,
     empirical_tail_cin,
     empirical_tail_fewbs,
+    power_pmf,
     substream,
     tail_ci,
 )
 from scsnet.montecarlo import (
-    _arrival_matrix,
+    _MAX_BLOCK_STATIONS,
+    BLOCK_SIZE,
     _block_ps_pi,
-    _draw_marks,
     _far_field_mean,
     _simulate_blocks,
+    _tier_points,
 )
 
 D2 = Dimension(2)
@@ -38,24 +41,22 @@ def canonical(l=2, eps=4.0, lam=1.0, noise=0.0):
 
 class TestSampleField:
     def test_count_is_poisson_mean(self):
-        # count within r_max ~ Poisson(lambda b r^l / l); vectorized over rows
+        # a tier's count within r_max ~ Poisson(lambda b r^l / l), one per row
         lam, r_max = 1.0, 4.0
-        t_max = lam * D2.b * r_max**2 / 2
-        rng = substream(1, 0)
-        t = _arrival_matrix(rng, 10_000, t_max, t_max)
-        counts = (t < t_max).sum(axis=1)
+        mu = lam * D2.b * r_max**2 / 2
+        counts, _ = _tier_points(substream(1, 0), 10_000, mu)
         mean = counts.mean()
         se = counts.std() / math.sqrt(len(counts))
-        assert abs(mean - t_max) < 3.0 * se
+        assert abs(mean - mu) < 3.0 * se
         # variance should match a Poisson law as well (loose sanity band)
-        assert counts.var() == pytest.approx(t_max, rel=0.1)
+        assert counts.var() == pytest.approx(mu, rel=0.1)
 
-    def test_increments_are_unit_exponential(self):
-        rng = substream(2, 0)
-        t_max = D2.b * 6.0**2 / 2
-        t = _arrival_matrix(rng, 200, t_max, t_max)
-        incs = np.diff(t, axis=1, prepend=0.0).ravel()
-        assert stats.kstest(incs, "expon").pvalue > 0.01
+    def test_positions_are_uniform_in_ball(self):
+        # volume fractions (R / r_max)^l of a uniform field are U(0, 1]
+        counts, u = _tier_points(substream(2, 0), 200, D2.b * 6.0**2 / 2)
+        assert u.size == counts.sum()
+        assert u.min() > 0.0 and u.max() <= 1.0
+        assert stats.kstest(u, "uniform").pvalue > 0.01
 
     def test_nearest_distance_median(self):
         # median of R1 is sqrt(ln 2 / (pi lambda)) in the plane
@@ -75,15 +76,35 @@ class TestSampleField:
         rs = np.concatenate([p_s for p_s, _, _ in blocks]) ** (-1.0 / 4.0)
         assert abs(np.median(rs) - want) < 5.0 / (2.0 * f_med * math.sqrt(500))
 
-    def test_ascending_and_bounded(self):
-        # every row is ascending and padded past t_max, also when the first
-        # guess of the column count (from mu) falls short
-        rng = substream(4, 0)
-        t_max = 2.0 * D2.b * 3.0**2 / 2
-        for mu in (t_max, 1.0):
-            t = _arrival_matrix(rng, 50, t_max, mu)
-            assert np.all(np.diff(t, axis=1) >= 0)
-            assert t[:, -1].min() >= t_max
+    def test_block_matches_row_by_row_reference(self):
+        # replay the documented draws (tiers in order; per tier counts,
+        # positions, normals) and rebuild each row in plain Python; this
+        # seed leaves rows empty, and the last row empty in every tier
+        sector = Sector(gain=20.0, beamwidth=2 * math.pi / 3)
+        spec = NetworkSpec(dim=D2, epsilon=4.0, fading=LogNormalFading(1.0),
+                           tiers=(Tier(1.0, 10.0, sector), Tier(0.5, 0.1)))
+        r_max, rows = 0.6, 40
+        p_s, p_i, ok = _block_ps_pi(spec, r_max, rows, substream(1, 0))
+        rng = substream(1, 0)
+        ref_s, ref_sum, last = [0.0] * rows, [0.0] * rows, []
+        for lam, power in ((sector.face_probability, 20.0), (0.5, 0.1)):
+            counts = rng.poisson(lam * D2.b * r_max**2 / 2, size=rows)
+            u = 1.0 - rng.random(int(counts.sum()))
+            z = rng.standard_normal(u.size)
+            last.append(int(counts[-1]))
+            j = 0
+            for row, c in enumerate(counts):
+                for _ in range(c):
+                    rx = power * math.exp(z[j]) * (r_max * math.sqrt(u[j])) ** -4.0
+                    ref_s[row] = max(ref_s[row], rx)
+                    ref_sum[row] += rx
+                    j += 1
+        assert last == [0, 0] and ref_s[:-1].count(0.0) >= 5
+        np.testing.assert_allclose(p_s, ref_s, rtol=1e-13)
+        np.testing.assert_allclose(p_i + p_s,
+                                   np.array(ref_sum) + _far_field_mean(spec, r_max),
+                                   rtol=1e-13)
+        np.testing.assert_array_equal(ok, np.array(ref_s) > 0.0)
 
     def test_domain(self):
         for l, eps, r_max in ((3, 6.0, math.nan), (3, 6.0, 0.0), (3, 6.0, -1.0),
@@ -94,12 +115,16 @@ class TestSampleField:
 
 class TestRealize:
     def test_serving_is_nearest_for_constant_marks(self):
-        spec = canonical()
-        t_max = D2.b * 5.0**2 / 2
-        t = _arrival_matrix(substream(6, 0), 200, t_max, t_max)
-        p_s, _, ok = _block_ps_pi(spec, 5.0, 200, substream(6, 0))
-        assert ok.all()
-        r1 = (2.0 * t[:, 0] / D2.b) ** 0.5
+        # one tier, no fading: the draws are the counts, then the positions
+        r_max, rows = 5.0, 200
+        p_s, _, ok = _block_ps_pi(canonical(), r_max, rows, substream(6, 0))
+        rng = substream(6, 0)
+        counts = rng.poisson(D2.b * r_max**2 / 2, size=rows)
+        u = 1.0 - rng.random(int(counts.sum()))
+        assert ok.all() and counts.min() > 0
+        starts = np.cumsum(counts) - counts
+        r1 = np.array([r_max * math.sqrt(u[s:s + c].min())
+                       for s, c in zip(starts, counts)])
         np.testing.assert_allclose(p_s, r1**-4.0, rtol=1e-14)
 
     def test_full_beam_sectoring_matches_unsectored_bitwise(self):
@@ -119,11 +144,16 @@ class TestRealize:
             dim=D2, epsilon=4.0,
             tiers=(Tier(1.0, 1.0, Sector(gain=3.0, beamwidth=theta)),),
         )
-        rng = substream(7, 0)
-        powers, _ = _draw_marks(spec, rng, (100_000,))
-        frac = float((powers == 0.0).mean())
-        want = 1.0 - theta / (2 * math.pi)
-        se = math.sqrt(want * (1 - want) / 100_000)
+        # the serving station is the nearest facing one, so within r the row
+        # hears nothing with probability exp(-lambda P(K > 0) b r^l / l), with
+        # P(K > 0) = theta/(2 pi) the sector pmf's nonzero mass
+        r, rows = 1.0, 100_000
+        p_s, _, _ = _block_ps_pi(spec, 2.0, rows, substream(7, 0))
+        frac = float((p_s <= 3.0 * r**-4.0).mean())
+        heard = 1.0 - dict(power_pmf(spec).atoms).get(0.0, 0.0)
+        assert heard == pytest.approx(theta / (2 * math.pi), rel=1e-12)
+        want = math.exp(-heard * D2.b * r**2 / 2)
+        se = math.sqrt(want * (1 - want) / rows)
         assert abs(frac - want) < 3.0 * se
 
     def test_moment_fading_cannot_be_sampled(self):
@@ -178,8 +208,9 @@ class TestEmpiricalTails:
         r0 = default_r_max(spec)
         base = empirical_tail_ci(spec, etas, 100_000, 13, r_max=r0)
         double = empirical_tail_ci(spec, etas, 100_000, 13, r_max=2 * r0)
-        for t1, h1, t2 in zip(base.tails, base.halfwidths, double.tails):
-            assert abs(t1 - t2) <= h1
+        for t1, h1, t2, h2 in zip(base.tails, base.halfwidths,
+                                  double.tails, double.halfwidths):
+            assert abs(t1 - t2) <= math.hypot(h1, h2)
 
     def test_fading_leaves_ci_unchanged(self):
         # the single-tier C/I law is blind to i.i.d. shadow fading
@@ -282,6 +313,35 @@ class TestFewBs:
 class TestSeeding:
     def test_streams_differ(self):
         assert substream(7, 0).random() != substream(7, 1).random()
+
+    def test_no_audible_station_fails_fast(self):
+        # every row would be rejected and redrawn forever
+        spec = NetworkSpec(dim=D2, epsilon=4.0, tiers=(Tier(1.0, 0.0),))
+        with pytest.raises(UnsupportedSettingError, match="no station"):
+            empirical_tail_ci(spec, [1.0], 10, 0, r_max=3.0)
+        with pytest.raises(UnsupportedSettingError, match="no station"):
+            default_r_max(spec)
+
+    def test_radius_beyond_memory_budget_fails_fast(self):
+        spec = canonical(eps=2.2)
+        r = default_r_max(spec)  # about 5.5e9: 1e20 expected stations per row
+        tracemalloc.start()
+        try:
+            with pytest.raises(UnsupportedSettingError, match="r_max=.*stations"):
+                empirical_tail_ci(spec, [1.0], 10_000, 0, r_max=r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000  # refused before any array was allocated
+        # eps = 3 at its default radius (about 4e7 per block) stays allowed
+        r3 = default_r_max(canonical(eps=3.0))
+        assert BLOCK_SIZE * D2.b * r3**2 / 2 < _MAX_BLOCK_STATIONS
+
+    def test_result_reports_its_radius(self):
+        spec = canonical()
+        assert empirical_tail_ci(spec, [1.0], 100, 5, r_max=3.5).r_max == 3.5
+        assert empirical_tail_ci(spec, [1.0], 100, 5).r_max == default_r_max(spec, seed=5)
+        assert empirical_tail_fewbs(spec, [1.0], 100, 5).r_max is None
 
     def test_default_r_max_keeps_compensation_small(self):
         spec = canonical()
