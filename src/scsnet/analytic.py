@@ -160,7 +160,9 @@ def charfn_inv_cin(canon: CanonicalSystem, omega):
             t = (L[:, None] * _RAY_U[None, :]) * ray
             phase = -t * F[:, None]
             phase += (1j * c) * wc[:, None] * t**rho
-            vals[lo:lo + 2048] = (np.exp(phase) @ _RAY_W) * ray * L
+            # weight in place and sum rows: `@` would hand this to BLAS threads
+            np.multiply(np.exp(phase, out=phase), _RAY_W, out=phase)
+            vals[lo:lo + 2048] = phase.sum(axis=1) * ray * L
         neg = w1[~zero] < 0
         vals[neg] = np.conj(vals[neg])
         out[~zero] = vals
@@ -172,7 +174,7 @@ def charfn_inv_cin(canon: CanonicalSystem, omega):
 # ---------------------------------------------------------------------------
 
 
-def _decay_ci(a: float) -> Tuple[float, complex]:
+def _envelope_ci(a: float) -> Tuple[float, complex]:
     # Exact leading envelope of 1/1F1: phi(w) ~ w^-a e^{i a pi/2} / Gamma(1-a).
     return a, complex(np.exp(1j * a * math.pi / 2)) / math.gamma(1.0 - a)
 
@@ -182,9 +184,9 @@ def tail_ci(ratio: float, eta: float, *, tol: float = 1e-6) -> float:
 
     eta = 0 returns 1 (the ratio is nonnegative).  On [1, inf) the answer is
     the exact closed form tail_ci_closed and ``tol`` is unused.  Below 1 the
-    characteristic function is inverted to ``tol`` absolute, with the
-    large-w tail of the inversion integral handled analytically from the
-    known w^(-l/eps) envelope.
+    characteristic function is inverted to ``tol`` absolute (invert_tail,
+    with the exact envelope e^{i a pi/2} w^-a / Gamma(1-a)); the raw value is
+    clamped to [0, 1], an excursion within the error estimate.
     """
     if not (ratio > 1.0):
         raise ValueError(f"ratio must exceed 1, got {ratio}")
@@ -194,10 +196,9 @@ def tail_ci(ratio: float, eta: float, *, tol: float = 1e-6) -> float:
         return 1.0
     if eta >= 1.0:
         return tail_ci_closed(ratio, eta)
-    a = 1.0 / ratio
-    return invert_tail(
-        lambda w: charfn_inv_ci(ratio, w), eta, tol=tol, decay=_decay_ci(a)
-    )
+    res = invert_tail(lambda w: charfn_inv_ci(ratio, w), eta, tol=tol,
+                      envelope=_envelope_ci(1.0 / ratio))
+    return min(1.0, max(0.0, res.value))
 
 
 def tail_ci_closed(ratio: float, eta: float) -> float:
@@ -217,6 +218,25 @@ def tail_ci_closed(ratio: float, eta: float) -> float:
     return math.sin(pa) / pa * eta ** (-1.0 / ratio)
 
 
+def _noise_damping(canon: CanonicalSystem):
+    """int_0^inf exp(-v - c v^(eps/l)) dv, c = N' k^(-eps/l): (value, error, evals).
+
+    k = (b/l) Gamma(1-a).  The integrand is positive and monotone, without
+    oscillation; its width is about s = 1 / (1 + c^(l/eps)), and v = s x puts
+    it on a unit scale for any noise level, where quad on [0, inf) would
+    otherwise miss the narrow peak of a very noisy system.
+    """
+    rho = canon.ratio
+    k = canon.dim.b / canon.dim.l * math.gamma(1.0 - canon.a)
+    c_root = canon.nprime ** (1.0 / rho) / k  # c^(l/eps)
+    s = 1.0 / (1.0 + c_root)
+    q = (c_root * s) ** rho  # c s^(eps/l), at most 1
+    val, err, info = quad(lambda x: math.exp(-s * x - q * x**rho), 0.0, math.inf,
+                          epsabs=1e-14, epsrel=1e-12, limit=200,
+                          full_output=1)[:3]
+    return s * val, s * err, info["neval"]
+
+
 def tail_cin_closed(canon: CanonicalSystem, eta: float, *, tol: float = 1e-5) -> float:
     """Exact P(C/(I+N') > eta) on [1, inf) by one smooth quadrature.
 
@@ -225,30 +245,19 @@ def tail_cin_closed(canon: CanonicalSystem, eta: float, *, tol: float = 1e-5) ->
 
         P = eta^-a (b/l)/Gamma(1+a) int_0^inf exp(-k u - N' u^(1/a)) du,
 
-    k = (b/l) Gamma(1-a).  Substituting u = v/k leaves
-    tail_ci_closed(eps/l, eta) * int_0^inf exp(-v - c v^(eps/l)) dv with
-    c = N' k^(-eps/l): a positive, monotone integrand without oscillation.
-    Its width is about s = 1 / (1 + c^(l/eps)); v = s x puts it on a unit
-    scale for any noise level, where quad on [0, inf) would otherwise miss
-    the narrow peak of a very noisy system.  Raises InversionError if quad's
-    error estimate, scaled like the value, exceeds ``tol``.
+    and u = v/k leaves tail_ci_closed(eps/l, eta) times _noise_damping.
+    Raises InversionError if quad's error estimate, scaled like the value,
+    exceeds ``tol``.
     """
     if not (tol > 0):
         raise ValueError("tol must be positive")
-    rho = canon.ratio
-    k = canon.dim.b / canon.dim.l * math.gamma(1.0 - canon.a)
-    c_root = canon.nprime ** (1.0 / rho) / k  # c^(l/eps)
-    s = 1.0 / (1.0 + c_root)
-    q = (c_root * s) ** rho  # c s^(eps/l), at most 1
-    scale = tail_ci_closed(rho, eta) * s
-    val, err, info = quad(lambda x: math.exp(-s * x - q * x**rho), 0.0, math.inf,
-                          epsabs=1e-14, epsrel=1e-12, limit=200,
-                          full_output=1)[:3]
+    scale = tail_ci_closed(canon.ratio, eta)
+    val, err, neval = _noise_damping(canon)
     if scale * err > tol:
         raise InversionError(
             f"closed-form quadrature missed its tolerance "
             f"(estimated error {scale * err:.2e})",
-            scale * val, scale * err, info["neval"],
+            scale * val, scale * err, neval,
         )
     return scale * val
 
@@ -315,10 +324,12 @@ def tail_cin(canon: CanonicalSystem, eta: float, *, tol: float = 1e-5) -> float:
 
     eta = 0 returns 1, and N' = 0 is tail_ci at the same ratio.  On
     [1, inf) the answer is the exact tail_cin_closed.  Below 1 the
-    reciprocal ratio's charfn (charfn_inv_cin) is inverted; its w^(-l/eps)
-    envelope coefficient is fitted from period-averaged samples, since noise
-    damps the envelope below the closed-form C/I value.  ``tol`` is the
-    absolute accuracy of whichever quadrature runs.
+    reciprocal ratio's charfn (charfn_inv_cin) is inverted.  Substituting
+    t = tau w^-a in its integral and rotating tau = u e^{i a pi/2} gives the
+    exact envelope A_N w^-a, A_N = A * _noise_damping with A the C/I
+    coefficient.  Noise damps it, and the next term likewise, so
+    invert_tail's remainder bound holds.  ``tol`` is the absolute accuracy
+    of whichever quadrature runs; the inverted value is clamped to [0, 1].
     """
     if not (eta >= 0):
         raise ValueError(f"eta must be >= 0, got {eta}")
@@ -328,13 +339,11 @@ def tail_cin(canon: CanonicalSystem, eta: float, *, tol: float = 1e-5) -> float:
         return tail_ci(canon.ratio, eta, tol=tol)
     if eta >= 1.0:
         return tail_cin_closed(canon, eta, tol=tol)
-    return invert_tail(
-        lambda w: charfn_inv_cin(canon, w),
-        eta,
-        tol=tol,
-        decay=canon.a,
-        char_scale=_cin_char_scale(canon),
-    )
+    a, A = _envelope_ci(canon.a)
+    res = invert_tail(lambda w: charfn_inv_cin(canon, w), eta, tol=tol,
+                      envelope=(a, A * _noise_damping(canon)[0]),
+                      char_scale=_cin_char_scale(canon))
+    return min(1.0, max(0.0, res.value))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Subcommands
 -----------
 scs reduce SPEC.json [--json]
     Print the canonical reduction (lambda_eff, moments, N').
-scs tail SPEC.json --metric {ci,cin} --method {exact,closed,fewbs,mc,lookup} ...
+scs tail SPEC.json --metric {ci,cin} --method {exact,fewbs,mc,lookup} ...
     Evaluate a tail curve and write it as CSV.
 scs table --l L --epsilons ... --nprimes ... --etas ... --out FILE
     Tabulate C/(I+N') tails over a grid.
@@ -42,7 +42,6 @@ from .analytic import (
     lookup,
     tail_ci,
     tail_ci2,
-    tail_ci_closed,
     tail_cin,
 )
 from .montecarlo import empirical_tail_ci, empirical_tail_cin
@@ -139,7 +138,7 @@ def cmd_reduce(args) -> int:
 
 
 _VALID_PAIRS = {
-    ("ci", "exact"), ("ci", "closed"), ("ci", "fewbs"), ("ci", "mc"),
+    ("ci", "exact"), ("ci", "fewbs"), ("ci", "mc"),
     ("cin", "exact"), ("cin", "mc"), ("cin", "lookup"),
 }
 
@@ -164,10 +163,6 @@ def cmd_tail(args) -> int:
             p = (tail_ci(canon.ratio, eta) if args.metric == "ci"
                  else tail_cin(canon, eta))
             rows.append((eta, p))
-    elif args.method == "closed":
-        if min(etas) < 1.0:
-            raise UsageError("--method closed is valid only for etas >= 1")
-        rows = [(eta, tail_ci_closed(canon.ratio, eta)) for eta in etas]
     elif args.method == "fewbs":
         rows = [(eta, tail_ci2(canon.ratio, eta)) for eta in etas]
     elif args.method == "lookup":
@@ -316,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("spec", type=Path)
     pt.add_argument("--metric", choices=("ci", "cin"), required=True)
     pt.add_argument("--method",
-                    choices=("exact", "closed", "fewbs", "mc", "lookup"),
+                    choices=("exact", "fewbs", "mc", "lookup"),
                     required=True)
     pt.add_argument("--etas", required=True,
                     help="comma-separated thresholds, ascending")

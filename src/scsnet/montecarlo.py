@@ -214,7 +214,12 @@ def default_r_max(spec: NetworkSpec, *, fraction: float = 0.01,
                                         stream_base=_PILOT_STREAM_BASE):
         pilot.append(p_i)
     typical = float(np.median(np.concatenate(pilot)))
-    r = (fraction * typical / _far_field_mean(spec, 1.0)) ** (1.0 / (l - eps))
+    try:
+        r = (fraction * typical / _far_field_mean(spec, 1.0)) ** (1.0 / (l - eps))
+    except OverflowError:
+        raise UnsupportedSettingError(
+            f"epsilon={eps} is too close to l={l}: the truncation radius"
+            " overflows a float") from None
     return max(r, r_pilot * 0.25)
 
 

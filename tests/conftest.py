@@ -43,27 +43,50 @@ def planar_canonical():
 
 @pytest.fixture(scope="session")
 def invert_ci():
-    """P(C/I > eta) by charfn inversion at any eta > 0.
+    """P(C/I > eta) by charfn inversion at any eta > 0 (raw, unclamped).
 
     tail_ci answers eta >= 1 with its closed form, so checks of that closed
     form need this independent route: the one tail_ci takes below 1.
     """
     from scsnet import charfn_inv_ci, invert_tail
-    from scsnet.analytic import _decay_ci
+    from scsnet.analytic import _envelope_ci
 
     def run(ratio, eta, tol=1e-6):
         return invert_tail(lambda w: charfn_inv_ci(ratio, w), eta, tol=tol,
-                           decay=_decay_ci(1.0 / ratio))
+                           envelope=_envelope_ci(1.0 / ratio)).value
     return run
 
 
 @pytest.fixture(scope="session")
-def invert_cin():
+def envelope_cin():
+    """Envelope (a, A_N) of charfn_inv_cin, phi ~ A_N w^-a, by its own quad.
+
+    A_N = e^{i a pi/2} int_0^inf exp(-Gamma(1-a) u - c u^(eps/l)) du with
+    c = N' (l/b)^(eps/l), integrated directly rather than through the
+    rescaled integral that tail_cin_closed shares with tail_cin.
+    """
+    import cmath
+
+    from scipy.integrate import quad
+
+    def run(canon):
+        a, rho = canon.a, canon.ratio
+        c = canon.nprime * (canon.dim.l / canon.dim.b) ** rho
+        g = math.gamma(1.0 - a)
+        val, _ = quad(lambda u: math.exp(-g * u - c * u**rho), 0.0, math.inf,
+                      epsabs=1e-14, epsrel=1e-12, limit=200)
+        return a, cmath.exp(0.5j * math.pi * a) * val
+    return run
+
+
+@pytest.fixture(scope="session")
+def invert_cin(envelope_cin):
     """P(C/(I+N') > eta) by charfn inversion at any eta > 0 (see invert_ci)."""
     from scsnet import charfn_inv_cin, invert_tail
     from scsnet.analytic import _cin_char_scale
 
     def run(canon, eta, tol=1e-5):
         return invert_tail(lambda w: charfn_inv_cin(canon, w), eta, tol=tol,
-                           decay=canon.a, char_scale=_cin_char_scale(canon))
+                           envelope=envelope_cin(canon),
+                           char_scale=_cin_char_scale(canon)).value
     return run

@@ -25,9 +25,9 @@ from scsnet import (
     tail_cin,
     tail_cin_closed,
 )
-from scsnet.analytic import _decay_ci
+from scsnet.analytic import _envelope_ci
 from scsnet.montecarlo import substream
-from scsnet.numerics import g_integral, invert_tail_result
+from scsnet.numerics import g_integral, invert_tail
 
 D2 = Dimension(2)
 
@@ -137,7 +137,7 @@ class TestTailCi:
                 )
 
     def test_steep_decay_at_one_is_sinc(self):
-        # eps/l = 8 defeats the inversion's tail bound; the closed form answers
+        # on [1, inf) tail_ci answers with the closed form at any eps/l
         assert tail_ci(8.0, 1.0) == pytest.approx(
             math.sin(math.pi / 8) / (math.pi / 8), abs=1e-12
         )
@@ -152,6 +152,33 @@ class TestTailCi:
         # frozen from a 25-digit mpmath quadrature of the folded inversion
         # integral (independent adaptive integrator and 1F1 implementation)
         assert tail_ci(ratio, eta, tol=1e-7) == pytest.approx(anchor, abs=1e-7)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8])
+    @pytest.mark.parametrize("ratio,eta,anchor", [
+        (1.5, 0.1, 0.99144803274149),
+        (1.5, 0.5, 0.6334899497226283),
+        (2.0, 0.1, 0.9998336159757035),
+        (2.0, 0.5, 0.845702973762835),
+        (3.0, 0.1, 0.9999995544824046),
+        (3.0, 0.5, 0.9588014704936113),
+        (4.0, 0.1, 0.9999999940236616),
+        (4.0, 0.5, 0.984346405155953),
+        (1.2, 0.01, 0.999999997292085),
+        (1.2, 0.9, 0.20849462043208658),
+        (1.2, 0.99, 0.19259217766500905),
+        (8.0, 0.01, 1.0),
+        (8.0, 0.9, 0.9817625773423014),
+        (8.0, 0.99, 0.9754243230960642),
+    ])
+    def test_inversion_below_one_within_its_estimate(self, ratio, eta, anchor, tol):
+        # frozen from perfbench/make_refs.py:ci_gil_pelaez (mpmath 1F1 and
+        # quadosc, dps 20); that route meets the exact sinc law to 1e-13 at
+        # eta = 2 for every ratio here and at eta = 1, 1.01, 1.1 for 1.2.
+        # 1e-9 is the error refs.json stores for it
+        res = invert_tail(lambda w: charfn_inv_ci(ratio, w), eta, tol=tol,
+                          envelope=_envelope_ci(1.0 / ratio))
+        assert res.abs_error_estimate <= tol
+        assert abs(res.value - anchor) <= res.abs_error_estimate + 1e-9
 
     def test_monotone_in_eta(self):
         etas = [0.05, 0.2, 0.5, 1.0, 2.0, 8.0, 50.0]
@@ -311,6 +338,16 @@ class TestTailCin:
         assert tails[0] < tails[1] < tails[2]
         assert tails[2] - tails[0] > 0.01
 
+    @pytest.mark.parametrize("eps", [3.0, 4.0, 5.0])
+    @pytest.mark.parametrize("nprime", [0.01, 10.0])
+    def test_charfn_envelope_matches_direct_quadrature(self, envelope_cin, eps, nprime):
+        # the cin_table cells: phi w^a -> A_N, which tail_cin takes from
+        # _noise_damping and the fixture from a direct quad
+        canon = CanonicalSystem(dim=D2, epsilon=eps, nprime=nprime)
+        a, A_N = envelope_cin(canon)
+        got = charfn_inv_cin(canon, 1e4) * 1e4**a / A_N
+        assert abs(got - 1.0) <= 1e-5
+
     def test_extreme_arguments_stay_sane(self):
         canon = CanonicalSystem(dim=D2, epsilon=4.0, nprime=100.0)
         hi = tail_cin(canon, 0.01)
@@ -327,7 +364,8 @@ class TestCinClosed:
     def test_matches_inversion(self, invert_cin, l, ratio, nprime):
         canon = CanonicalSystem(dim=Dimension(l), epsilon=ratio * l, nprime=nprime)
         for eta in (1.0, 2.0):
-            assert abs(tail_cin_closed(canon, eta) - invert_cin(canon, eta)) <= 1e-7
+            got = invert_cin(canon, eta, tol=1e-8)
+            assert abs(tail_cin_closed(canon, eta) - got) <= 1e-7
 
     def test_tail_cin_takes_it_above_one(self):
         canon = CanonicalSystem(dim=D2, epsilon=4.0, nprime=0.3)
@@ -445,10 +483,10 @@ NOISY = CanonicalSystem(dim=D2, epsilon=4.0, nprime=0.1)
     lambda eta: tail_ci2(2.0, eta),
     lambda eta: tail_cin(NOISY, eta),
     lambda eta: tail_cin_closed(NOISY, eta),
-    lambda eta: invert_tail_result(lambda w: charfn_inv_ci(2.0, w), eta,
-                                   decay=_decay_ci(0.5)),
+    lambda eta: invert_tail(lambda w: charfn_inv_ci(2.0, w), eta,
+                            envelope=_envelope_ci(0.5)),
 ], ids=["tail_ci", "tail_ci_closed", "tail_ci2", "tail_cin", "tail_cin_closed",
-        "invert_tail_result"])
+        "invert_tail"])
 def test_nan_threshold_fails_fast(entry):
     with pytest.raises(ValueError, match="eta"):
         entry(math.nan)
@@ -480,10 +518,10 @@ def test_nan_ratio_or_radius_fails_fast(entry, name):
     lambda tol: tail_cin(NOISY, 0.5, tol=tol),
     lambda tol: tail_cin(NOISY, 2.0, tol=tol),
     lambda tol: tail_cin_closed(NOISY, 2.0, tol=tol),
-    lambda tol: invert_tail_result(lambda w: charfn_inv_ci(2.0, w), 0.5,
-                                   decay=_decay_ci(0.5), tol=tol),
+    lambda tol: invert_tail(lambda w: charfn_inv_ci(2.0, w), 0.5,
+                            envelope=_envelope_ci(0.5), tol=tol),
 ], ids=["tail_ci", "tail_cin", "tail_cin_above_one", "tail_cin_closed",
-        "invert_tail_result"])
+        "invert_tail"])
 def test_bad_tol_fails_fast(entry, tol):
     with pytest.raises(ValueError, match="tol"):
         entry(tol)

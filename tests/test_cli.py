@@ -82,30 +82,9 @@ class TestReduce:
 
 
 class TestTail:
-    def test_exact_then_closed_agree_above_one(self, capsys, spec_path, tmp_path):
-        out1 = tmp_path / "exact.csv"
-        out2 = tmp_path / "closed.csv"
-        run(capsys, "tail", spec_path, "--metric", "ci", "--method", "exact",
-            "--etas", "1,4", "--out", out1)
-        run(capsys, "tail", spec_path, "--metric", "ci", "--method", "closed",
-            "--etas", "1,4", "--out", out2)
-        rows1 = out1.read_text().splitlines()[1:]
-        rows2 = out2.read_text().splitlines()[1:]
-        for r1, r2 in zip(rows1, rows2):
-            assert float(r1.split(",")[1]) == pytest.approx(
-                float(r2.split(",")[1]), abs=2e-5
-            )
-
-    def test_closed_below_one_is_usage_error(self, capsys, spec_path, tmp_path):
-        code, _, err = run(capsys, "tail", spec_path, "--metric", "ci",
-                           "--method", "closed", "--etas", "0.5",
-                           "--out", tmp_path / "x.csv")
-        assert code == 2
-        assert "etas >= 1" in err
-
     def test_invalid_pair_lists_valid_ones(self, capsys, spec_path, tmp_path):
         code, _, err = run(capsys, "tail", spec_path, "--metric", "cin",
-                           "--method", "closed", "--etas", "2",
+                           "--method", "fewbs", "--etas", "2",
                            "--out", tmp_path / "x.csv")
         assert code == 2
         assert "valid pairs" in err

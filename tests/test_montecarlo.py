@@ -337,6 +337,14 @@ class TestSeeding:
         r3 = default_r_max(canonical(eps=3.0))
         assert BLOCK_SIZE * D2.b * r3**2 / 2 < _MAX_BLOCK_STATIONS
 
+    def test_epsilon_near_l_fails_fast(self):
+        # at l = 2, eps = 2.001 the radius r^(1/(l - eps)) overflows a float
+        spec = canonical(eps=2.001)
+        with pytest.raises(UnsupportedSettingError, match="epsilon=2.001"):
+            default_r_max(spec)
+        with pytest.raises(UnsupportedSettingError, match="epsilon=2.001"):
+            empirical_tail_ci(spec, [1.0], 100, 0)
+
     def test_result_reports_its_radius(self):
         spec = canonical()
         assert empirical_tail_ci(spec, [1.0], 100, 5, r_max=3.5).r_max == 3.5

@@ -4,14 +4,22 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import gammainc
 
+from scsnet import (
+    CanonicalSystem,
+    Dimension,
+    charfn_inv_ci,
+    tail_ci,
+    tail_ci_closed,
+    tail_cin,
+)
+from scsnet.analytic import _envelope_ci
 from scsnet.numerics import (
+    _MAX_EVALS,
     InversionError,
     QuadratureResult,
     g_integral,
     invert_tail,
-    invert_tail_result,
     kummer_1f1_neg_a,
 )
 
@@ -141,65 +149,68 @@ class TestGIntegral:
             g_integral(math.nan, 2.0)
 
 
-def gamma_half(w):
-    """Charfn of X ~ Gamma(1/2, 1); its envelope is w^(-1/2) e^{i pi/4}."""
-    return (1.0 - 1j * w) ** -0.5
+def inv_ci(w):
+    """Charfn of (C/I)^-1 at eps/l = 2: 1/1F1(-1/2; 1/2; i w)."""
+    return charfn_inv_ci(2.0, w)
 
 
-GAMMA_HALF_DECAY = (0.5, complex(np.exp(1j * math.pi / 4)))
+INV_CI_ENVELOPE = _envelope_ci(0.5)
 
 
 class TestInvertTail:
-    def test_gamma_half_known_decay(self):
-        # X ~ Gamma(1/2, 1): phi(w) = (1 - i w)^(-1/2), envelope w^(-1/2)
-        # with exact coefficient e^{i pi/4}; CDF is the regularized gamma P.
-        phi = lambda w: (1.0 - 1j * w) ** -0.5
-        A = complex(np.exp(1j * math.pi / 4))
-        for eta in (0.25, 1.0, 4.0):
-            want = float(gammainc(0.5, 1.0 / eta))
-            got = invert_tail(phi, eta, tol=1e-5, decay=(0.5, A))
-            assert got == pytest.approx(want, abs=3e-5)
-
-    def test_gamma_half_fitted_coefficient(self):
-        phi = lambda w: (1.0 - 1j * w) ** -0.5
-        for eta in (0.5, 2.0):
-            want = float(gammainc(0.5, 1.0 / eta))
-            got = invert_tail(phi, eta, tol=1e-5, decay=0.5)
-            assert got == pytest.approx(want, abs=3e-5)
+    def test_known_tail_above_one(self):
+        # at eta >= 1 the tail is the exact sinc power law; the raw value
+        # must lie within its own error estimate of it
+        for eta in (1.0, 2.0, 4.0):
+            res = invert_tail(inv_ci, eta, tol=1e-8, envelope=INV_CI_ENVELOPE)
+            assert res.abs_error_estimate <= 1e-8
+            assert abs(res.value - tail_ci_closed(2.0, eta)) <= res.abs_error_estimate
 
     def test_monotone_in_eta(self):
-        phi = lambda w: (1.0 - 1j * w) ** -0.5
         etas = np.geomspace(0.1, 20.0, 12)
-        vals = [invert_tail(phi, e, tol=1e-6, decay=(0.5, np.exp(1j * math.pi / 4)))
+        vals = [invert_tail(inv_ci, e, tol=1e-6, envelope=INV_CI_ENVELOPE).value
                 for e in etas]
         for lo, hi in zip(vals[1:], vals[:-1]):
             assert lo <= hi + 1e-6
 
     def test_output_clamped_and_raw_excursion_small(self):
-        # the tail is within 1e-9 of 1 here; the raw value overshoots by ~1e-5
-        for eta in (0.02, 0.05):
-            res = invert_tail_result(gamma_half, eta, tol=1e-4, decay=GAMMA_HALF_DECAY)
-            assert abs(min(1.0, max(0.0, res.value)) - res.value) < 1e-3
-            clamped = invert_tail(gamma_half, eta, tol=1e-4, decay=GAMMA_HALF_DECAY)
-            assert 0.0 <= clamped <= 1.0
+        # P(C/I > 0.1) at eps/l = 4 is within 6e-9 of 1; the raw value
+        # overshoots within its error estimate and tail_ci clamps it
+        res = invert_tail(lambda w: charfn_inv_ci(4.0, w), 0.1, tol=1e-6,
+                          envelope=_envelope_ci(0.25))
+        assert abs(min(1.0, max(0.0, res.value)) - res.value) <= res.abs_error_estimate
+        assert 0.0 <= tail_ci(4.0, 0.1) <= 1.0
 
     def test_budget_error_carries_partial(self):
-        phi = lambda w: (1.0 - 1j * w) ** -0.5
+        # the 1e-13 rounding allowance alone exceeds tol: Omega climbs to
+        # the evaluation budget, and the value there travels in the error
         with pytest.raises(InversionError) as exc:
-            invert_tail(phi, 1.0, tol=1e-12, decay=(0.5, np.exp(1j * math.pi / 4)),
-                        max_evals=2000)
-        assert exc.value.partial_value is not None
+            invert_tail(inv_ci, 0.5, tol=1e-15, envelope=INV_CI_ENVELOPE)
+        # mpmath Gil-Pelaez value of P(C/I > 0.5) at eps/l = 2
+        assert exc.value.partial_value == pytest.approx(0.845702973762835, abs=1e-9)
         assert exc.value.error_estimate > 0
+        assert exc.value.evaluations <= _MAX_EVALS
+
+    def test_unaffordable_panels_fail_before_evaluating(self):
+        def never(w):
+            raise AssertionError("charfn evaluated")
+
+        with pytest.raises(InversionError):
+            invert_tail(never, 0.5, envelope=INV_CI_ENVELOPE, char_scale=1e9)
+        # N' = 1e10 puts the noise phase at ~1e10 per unit omega
+        with pytest.raises(InversionError):
+            tail_cin(CanonicalSystem(dim=Dimension(2), epsilon=4.0, nprime=1e10), 0.5)
 
     def test_eta_zero_is_callers_branch(self):
         with pytest.raises(ValueError):
-            invert_tail(gamma_half, 0.0, decay=GAMMA_HALF_DECAY)
+            invert_tail(inv_ci, 0.0, envelope=INV_CI_ENVELOPE)
 
     def test_decay_is_required(self):
+        # the envelope (p, A) of the charfn's w^-p decay
         with pytest.raises(TypeError):
-            invert_tail(gamma_half, 0.5)
-        with pytest.raises(ValueError, match="decay exponent"):
-            invert_tail(gamma_half, 0.5, decay=1.0)
+            invert_tail(inv_ci, 0.5)
+        with pytest.raises(ValueError, match="envelope exponent"):
+            invert_tail(inv_ci, 0.5, envelope=(1.0, 1.0))
 
     def test_quadrature_result_validation(self):
         with pytest.raises(ValueError):
