@@ -175,14 +175,14 @@ def cmd_tail(args) -> int:
         emp = fn(spec, etas, args.n, args.seed)
         out = Path(args.out)
         emp.to_csv(out)
+        stats = {"rejections": emp.n_rejected, "r_max": emp.r_max,
+                 "stations_per_row": emp.stations_per_row}
         _write_manifest(out, "tail", {**_spec_args(args), "metric": args.metric,
                                       "method": args.method, "etas": etas,
-                                      "n": args.n, "seed": args.seed,
-                                      "rejections": emp.n_rejected,
-                                      "r_max": emp.r_max},
+                                      "n": args.n, "seed": args.seed, **stats},
                         [out], started)
         print(f"wrote {out} ({len(etas)} points, n={args.n}, "
-              f"rejections={emp.n_rejected}, r_max={emp.r_max:.6g})")
+              + ", ".join(f"{k}={v:.6g}" for k, v in stats.items()) + ")")
         return 0
     out = Path(args.out)
     with open(out, "w", encoding="utf-8", newline="\n") as fh:

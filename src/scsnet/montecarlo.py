@@ -6,8 +6,9 @@ independently per station, so a sectored tier is heard as its thinning to
 density lambda theta/(2 pi) at the sector gain.  Within r_max a tier has a
 Poisson(lambda' b r_max^l / l) count of stations, uniform in the ball.  Each
 station carries an i.i.d. fading mark; the serving station is the strongest
-received power, and the interference beyond r_max is compensated by its
-exact mean so truncation leaves no first-order bias.
+received power.  The interference beyond r_max is compensated by its exact
+mean, so truncation drops only its fluctuation, whose standard deviation
+falls as r_max^(l/2 - eps); the default radius is sized by that.
 
 Reproducibility contract: realization j lives in block j // BLOCK_SIZE at
 row j % BLOCK_SIZE, and block b draws from the counter-indexed Philox
@@ -74,12 +75,7 @@ class EmpiricalTail:
     method: str
     n_rejected: int = 0
     r_max: Optional[float] = None  # truncation radius; None for the k-nearest draw
-
-    def lower(self) -> np.ndarray:
-        return np.maximum(np.asarray(self.tails) - np.asarray(self.halfwidths), 0.0)
-
-    def upper(self) -> np.ndarray:
-        return np.minimum(np.asarray(self.tails) + np.asarray(self.halfwidths), 1.0)
+    stations_per_row: Optional[float] = None  # expected heard stations within r_max
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -112,6 +108,13 @@ def _far_field_mean(spec: NetworkSpec, r_max: float) -> float:
     l, b, eps = spec.dim.l, spec.dim.b, spec.epsilon
     power_density = sum(lam * p for lam, p in _heard_tiers(spec)) * spec.fading.mean
     return power_density * b * r_max ** (l - eps) / (eps - l)
+
+
+def _stations_per_row(spec: NetworkSpec, r_max: float) -> float:
+    """Expected heard stations within r_max, sum_i lambda'_i b r_max^l / l."""
+    with np.errstate(over="ignore"):  # inf for a radius past float range
+        lam = sum(lam for lam, _ in _heard_tiers(spec))
+        return float(lam * spec.dim.b / spec.dim.l * np.float64(r_max)**spec.dim.l)
 
 
 def _tier_points(rng, rows: int, mu: float):
@@ -158,6 +161,8 @@ def _block_ps_pi(spec: NetworkSpec, r_max: float, rows: int, rng):
 
 # pilot runs (radius calibration) draw from streams far above any block index
 _PILOT_STREAM_BASE = 1 << 48
+_PILOT_N = 1000
+_FAR_FIELD_SD_FRACTION = 0.01  # of the pilot's median interference
 
 
 def _simulate_blocks(spec: NetworkSpec, r_max: float, n: int, seed: int,
@@ -170,12 +175,10 @@ def _simulate_blocks(spec: NetworkSpec, r_max: float, n: int, seed: int,
     A field with no audible station, or whose block would expect more than
     _MAX_BLOCK_STATIONS stations, is refused before any draw.
     """
-    heard = _heard_tiers(spec)
-    if not heard:
+    if not _heard_tiers(spec):
         raise UnsupportedSettingError("no station can be heard: every tier has power 0")
-    l, rows = spec.dim.l, min(BLOCK_SIZE, n)
-    with np.errstate(over="ignore"):
-        stations = rows * sum(lam for lam, _ in heard) * spec.dim.b / l * np.float64(r_max)**l
+    rows = min(BLOCK_SIZE, n)
+    stations = rows * _stations_per_row(spec, r_max)
     if stations > _MAX_BLOCK_STATIONS:
         raise UnsupportedSettingError(
             f"r_max={r_max:.6g} expects {stations:.3g} stations in a block of {rows}"
@@ -195,32 +198,28 @@ def _simulate_blocks(spec: NetworkSpec, r_max: float, n: int, seed: int,
         yield p_s, p_i, rejected
 
 
-def default_r_max(spec: NetworkSpec, *, fraction: float = 0.01,
-                  pilot_n: int = 1000, seed: int = 0) -> float:
-    """Truncation radius making the far-field compensation a small fraction
-    of the typical total interference.
+def default_r_max(spec: NetworkSpec, *, seed: int = 0) -> float:
+    """Truncation radius beyond which the far field's fluctuation is negligible.
 
+    The far field's mean is compensated exactly; its standard deviation is
+    c r^(l/2-eps), c = sqrt(sum_i lambda'_i P_i^2 E[Psi^2] b / (2 eps - l)).
     A pilot run at a provisional radius estimates the typical (median) total
-    interference; the radius then solves
-    sum_i lambda'_i P_i E[Psi] b r^(l-eps) / (eps - l) = fraction * typical.
-    The median is used because the mean interference diverges for
-    eps >= 2l and a sample mean would be dominated by rare close pairs.
+    interference, and the radius solves c r^(l/2-eps) = 1% of it.  The median
+    is used because the mean interference diverges for eps >= 2l and a sample
+    mean would be dominated by rare close pairs.  The radius is at least the
+    one holding 20 heard stations a row, so a row is empty with probability
+    e^-20: redrawing empty rows would condition the field.
     """
     l, b, eps = spec.dim.l, spec.dim.b, spec.epsilon
-    lam = spec.total_density
-    r_pilot = (200.0 * l / (lam * b)) ** (1.0 / l)
-    pilot = []
-    for p_s, p_i, _ in _simulate_blocks(spec, r_pilot, pilot_n, seed,
-                                        stream_base=_PILOT_STREAM_BASE):
-        pilot.append(p_i)
+    r_pilot = (200.0 * l / (spec.total_density * b)) ** (1.0 / l)
+    pilot = [p_i for _, p_i, _ in _simulate_blocks(spec, r_pilot, _PILOT_N, seed,
+                                                    stream_base=_PILOT_STREAM_BASE)]
     typical = float(np.median(np.concatenate(pilot)))
-    try:
-        r = (fraction * typical / _far_field_mean(spec, 1.0)) ** (1.0 / (l - eps))
-    except OverflowError:
-        raise UnsupportedSettingError(
-            f"epsilon={eps} is too close to l={l}: the truncation radius"
-            " overflows a float") from None
-    return max(r, r_pilot * 0.25)
+    # the pilot has refused MomentFading, whose moment(2) is not E[Psi^2]
+    c = math.sqrt(sum(lam * p * p for lam, p in _heard_tiers(spec))
+                  * spec.fading.moment(2.0) * b / (2.0 * eps - l))
+    r = (_FAR_FIELD_SD_FRACTION * typical / c) ** (1.0 / (0.5 * l - eps))
+    return max(r, (20.0 / _stations_per_row(spec, 1.0)) ** (1.0 / l))
 
 
 def _require_fewbs_setting(spec: NetworkSpec):
@@ -241,8 +240,8 @@ def _empirical(etas, n, seed, method, blocks: Iterator) -> EmpiricalTail:
     """Count ratio values above each eta over ``blocks`` and assemble the tail.
 
     ``blocks`` is a lazy iterator of (ratio values, rejections, truncation
-    radius) per block; it starts drawing only after etas and n have been
-    checked.
+    radius, expected stations per row) per block; it starts drawing only
+    after etas and n have been checked.
     """
     etas = [float(e) for e in etas]
     if etas != sorted(etas):
@@ -252,7 +251,7 @@ def _empirical(etas, n, seed, method, blocks: Iterator) -> EmpiricalTail:
     counts = np.zeros(len(etas), dtype=np.int64)
     rejected = 0
     eta_arr = np.asarray(etas)
-    for vals, rej, r_max in blocks:
+    for vals, rej, r_max, stations in blocks:
         counts += (vals[:, None] > eta_arr[None, :]).sum(axis=0)
         rejected += rej
     tails = counts / n
@@ -261,6 +260,7 @@ def _empirical(etas, n, seed, method, blocks: Iterator) -> EmpiricalTail:
         etas=tuple(etas), tails=tuple(float(t) for t in tails),
         halfwidths=tuple(float(h) for h in hw),
         n=n, seed=seed, method=method, n_rejected=rejected, r_max=r_max,
+        stations_per_row=stations,
     )
 
 
@@ -272,7 +272,7 @@ def _field_ratios(spec: NetworkSpec, n: int, seed: int, r_max: Optional[float],
     elif not (math.isfinite(r_max) and r_max > 0):
         raise ValueError(f"r_max must be finite and > 0, got {r_max}")
     for p_s, p_i, rej in _simulate_blocks(spec, r_max, n, seed):
-        yield p_s / (p_i + noise), rej, r_max
+        yield p_s / (p_i + noise), rej, r_max, _stations_per_row(spec, r_max)
 
 
 def empirical_tail_ci(spec: NetworkSpec, etas: Sequence[float], n: int,
@@ -303,7 +303,7 @@ def _fewbs_ratios(spec: NetworkSpec, n: int, seed: int, k: int):
         exact = (kpow * radii[:, 1:k] ** (-eps)).sum(axis=1) if k >= 2 else 0.0
         r_k = radii[:, k - 1]
         mean_rest = lam * b * kpow * r_k ** (l - eps) / (eps - l)
-        yield p_s / (exact + mean_rest), 0, None
+        yield p_s / (exact + mean_rest), 0, None, None
 
 
 def empirical_tail_fewbs(spec: NetworkSpec, etas: Sequence[float], n: int,

@@ -106,16 +106,21 @@ class TestTail:
     def test_mc_deterministic_bytes_and_manifest(self, capsys, spec_path, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (out1, out2):
-            code, _, _ = run(capsys, "tail", spec_path, "--metric", "cin",
-                             "--method", "mc", "--etas", "0.5,1", "--n", "5000",
-                             "--seed", "9", "--out", out)
+            code, printed, _ = run(capsys, "tail", spec_path, "--metric", "cin",
+                                   "--method", "mc", "--etas", "0.5,1", "--n", "5000",
+                                   "--seed", "9", "--out", out)
             assert code == 0
         assert out1.read_bytes() == out2.read_bytes()
         manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
         assert manifest["command"] == "tail"
         assert manifest["args"]["seed"] == 9
         assert "spec_sha256" in manifest["args"]
-        assert manifest["args"]["r_max"] == default_r_max(load_spec(spec_path), seed=9)
+        r_max = default_r_max(load_spec(spec_path), seed=9)
+        assert manifest["args"]["r_max"] == r_max
+        # density 2 in the plane: 2 * pi r^2 stations expected per row
+        stations = manifest["args"]["stations_per_row"]
+        assert stations == pytest.approx(2.0 * math.pi * r_max**2, rel=1e-12)
+        assert f"r_max={r_max:.6g}, stations_per_row={stations:.6g})" in printed
 
     def test_fewbs_method(self, capsys, spec_path, tmp_path):
         out = tmp_path / "f.csv"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,13 +8,17 @@ import pytest
 from scipy import stats
 
 from scsnet import (
+    CanonicalSystem,
     Dimension,
     LogNormalFading,
     MomentFading,
     NetworkSpec,
+    NoFading,
     Sector,
     Tier,
     UnsupportedSettingError,
+    as_network_spec,
+    build_lookup_table,
     default_r_max,
     empirical_tail_ci,
     empirical_tail_cin,
@@ -22,6 +27,7 @@ from scsnet import (
     substream,
     tail_ci,
 )
+from scsnet.analytic import default_table_grids
 from scsnet.montecarlo import (
     _MAX_BLOCK_STATIONS,
     BLOCK_SIZE,
@@ -37,6 +43,11 @@ D2 = Dimension(2)
 def canonical(l=2, eps=4.0, lam=1.0, noise=0.0):
     return NetworkSpec(dim=Dimension(l), epsilon=eps,
                        tiers=(Tier(density=lam, power=1.0),), noise=noise)
+
+
+def assert_within_4se(emp, exact):
+    for eta, t, p in zip(emp.etas, emp.tails, exact):
+        assert abs(t - p) <= 4.0 * math.sqrt(p * (1.0 - p) / emp.n), (eta, t, p)
 
 
 class TestSampleField:
@@ -160,6 +171,8 @@ class TestRealize:
         spec = dataclasses.replace(canonical(), fading=MomentFading(1.3))
         with pytest.raises(UnsupportedSettingError):
             empirical_tail_ci(spec, [1.0], 100, 8, r_max=5.0)
+        with pytest.raises(UnsupportedSettingError):
+            default_r_max(spec)  # its moment(2) is not E[Psi^2]
 
     def test_far_field_compensation_positive(self):
         far = _far_field_mean(canonical(), 5.0)
@@ -211,6 +224,32 @@ class TestEmpiricalTails:
         for t1, h1, t2, h2 in zip(base.tails, base.halfwidths,
                                   double.tails, double.halfwidths):
             assert abs(t1 - t2) <= math.hypot(h1, h2)
+
+    @pytest.mark.parametrize("spec", [
+        canonical(l=3, eps=4.0),
+        canonical(l=2, eps=2.5),
+        # eps near l: the fluctuation-sized radius is below one mean station
+        # distance, so the radius is the floor of 20 heard stations a row
+        canonical(l=3, eps=3.02),
+        NetworkSpec(dim=D2, epsilon=2.01,
+                    tiers=(Tier(1.0, 1.0, Sector(gain=1.0, beamwidth=math.pi / 3)),)),
+    ], ids=["l3-eps4", "l2-eps2.5", "l3-eps3.02", "sector60-eps2.01"])
+    def test_default_radius_answers_slow_decay(self, spec):
+        # networks whose mean-sized radius needed 1e9 to 1e11 stations a block
+        # or overflowed; no row may be empty, as redrawing it conditions the field
+        emp = empirical_tail_ci(spec, [0.5, 1.0, 2.0], 50_000, 21)
+        assert emp.n_rejected == 0
+        a = spec.epsilon / spec.dim.l
+        assert_within_4se(emp, [tail_ci(a, eta) for eta in emp.etas])
+
+    def test_default_table_cell_checkable(self):
+        # the default table's eps = 2.5, N' = 1 cell against a network reducing to it
+        epsilons, nprimes, etas = default_table_grids(2)
+        assert 2.5 in epsilons and 1.0 in nprimes
+        table = build_lookup_table(2, [2.5], [1.0], etas)
+        spec = as_network_spec(CanonicalSystem(D2, 2.5, 1.0))
+        emp = empirical_tail_cin(spec, etas, 50_000, 23)
+        assert_within_4se(emp, table.values.ravel())
 
     def test_fading_leaves_ci_unchanged(self):
         # the single-tier C/I law is blind to i.i.d. shadow fading
@@ -324,7 +363,7 @@ class TestSeeding:
 
     def test_radius_beyond_memory_budget_fails_fast(self):
         spec = canonical(eps=2.2)
-        r = default_r_max(spec)  # about 5.5e9: 1e20 expected stations per row
+        r = 5.5e9  # 1e20 expected stations per row
         tracemalloc.start()
         try:
             with pytest.raises(UnsupportedSettingError, match="r_max=.*stations"):
@@ -337,13 +376,15 @@ class TestSeeding:
         r3 = default_r_max(canonical(eps=3.0))
         assert BLOCK_SIZE * D2.b * r3**2 / 2 < _MAX_BLOCK_STATIONS
 
-    def test_epsilon_near_l_fails_fast(self):
-        # at l = 2, eps = 2.001 the radius r^(1/(l - eps)) overflows a float
+    def test_epsilon_near_l_is_answered(self):
+        # at l = 2, eps = 2.001 the far field's mean is huge but compensated,
+        # and its fluctuation is small a few mean distances out
         spec = canonical(eps=2.001)
-        with pytest.raises(UnsupportedSettingError, match="epsilon=2.001"):
-            default_r_max(spec)
-        with pytest.raises(UnsupportedSettingError, match="epsilon=2.001"):
-            empirical_tail_ci(spec, [1.0], 100, 0)
+        start = time.perf_counter()
+        emp = empirical_tail_ci(spec, [1.0, 2.0, 4.0], 50_000, 11)
+        assert time.perf_counter() - start < 5.0
+        assert emp.stations_per_row < 100
+        assert_within_4se(emp, [tail_ci(2.001 / 2, eta) for eta in emp.etas])
 
     def test_result_reports_its_radius(self):
         spec = canonical()
@@ -351,12 +392,23 @@ class TestSeeding:
         assert empirical_tail_ci(spec, [1.0], 100, 5).r_max == default_r_max(spec, seed=5)
         assert empirical_tail_fewbs(spec, [1.0], 100, 5).r_max is None
 
-    def test_default_r_max_keeps_compensation_small(self):
-        spec = canonical()
+    @pytest.mark.parametrize("fading", [NoFading(), LogNormalFading(0.5)])
+    def test_default_r_max_keeps_compensation_small(self, fading):
+        spec = dataclasses.replace(canonical(), fading=fading)
         r = default_r_max(spec)
-        comp = spec.total_density * D2.b * r**-2.0 / 2.0
         p_i = np.concatenate(
             [pi for _, pi, _ in _simulate_blocks(spec, r, 10_000, 33)]
         )
-        # the radius is solved so compensation ~ 1% of typical interference
-        assert comp <= 0.02 * float(np.median(p_i))
+        # what compensation misses is the far field's fluctuation; measure its
+        # sd from stations drawn in the shell [r, 4r], which carries all but
+        # 4^(l - 2 eps) = 4^-6 of its variance
+        rng, rows = np.random.default_rng(34), 4000
+        counts = rng.poisson(D2.b * 15.0 * r**2 / 2, size=rows)
+        r2 = r**2 * (1.0 + 15.0 * rng.random(counts.sum()))  # R^2 uniform
+        sigma = getattr(fading, "sigma", 0.0)
+        rx = np.exp(sigma * rng.standard_normal(counts.sum())) * r2**-2.0
+        far = np.bincount(np.repeat(np.arange(rows), counts), weights=rx,
+                          minlength=rows)
+        # the radius is solved so that sd ~ 1% of typical interference, and
+        # not sized by the mean, which would make it ~20x smaller
+        assert 0.005 <= far.std() / float(np.median(p_i)) <= 0.02
