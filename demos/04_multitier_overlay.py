@@ -32,11 +32,14 @@ overlays = [
     ("macro only", []),
     ("+ micro (lam 3, K 0.1)", [Tier(3.0, 0.1)]),
     ("+ micro + pico (lam 10, K 0.01)", [Tier(3.0, 0.1), Tier(10.0, 0.01)]),
+    ("+ sectored micro (G 0.3, 120 deg)",
+     [Tier(3.0, 0.1, Sector(gain=0.3, beamwidth=2 * math.pi / 3))]),
 ]
 for name, added in overlays:
     n1, n2 = noise_after_adding_tiers(macro, added, D2, 4.0, noise)
     spec = NetworkSpec(dim=D2, epsilon=4.0, tiers=(macro, *added), noise=noise)
     canon = canonicalize(spec)
+    assert math.isclose(n2, canon.nprime, rel_tol=1e-12)  # the same reduction
     tail = tail_cin(canon, 1.0)
     print(f"  {name:<34} N' = {canon.nprime:8.4f}   P(C/(I+N) > 1) = {tail:.4f}")
 

@@ -29,18 +29,15 @@ from .network import (  # noqa: F401
     MomentFading,
     NetworkSpec,
     NoFading,
-    PowerPmf,
     Reduction,
     Sector,
     SpecError,
     Tier,
     as_network_spec,
     canonicalize,
-    fading_moment,
+    heard_tiers,
     load_spec,
     noise_after_adding_tiers,
-    power_moment,
-    power_pmf,
     reduce_network,
     sigma_db_to_natural,
     spec_from_json,

@@ -416,7 +416,11 @@ class LookupTable:
         nj = {n: j for j, n in enumerate(nprimes)}
         ek = {t: k for k, t in enumerate(etas)}
         for l_, eps, npr, eta, tail in rows:
-            values[ei[eps], nj[npr], ek[eta]] = tail
+            cell = (ei[eps], nj[npr], ek[eta])
+            if not np.isnan(values[cell]):
+                raise ValueError(f"lookup table lists the cell epsilon={eps!r},"
+                                 f" nprime={npr!r}, eta={eta!r} twice")
+            values[cell] = tail
         if np.any(np.isnan(values)):
             raise ValueError("lookup table grid is not complete")
         return cls(l=ls.pop(), epsilons=epsilons, nprimes=nprimes,

@@ -1,14 +1,14 @@
 """Independent Monte Carlo oracle for signal-quality distributions.
 
-Each tier is drawn as its own Poisson field; superposed, they are the
-network.  A sector faces the receiver with probability theta/(2 pi),
-independently per station, so a sectored tier is heard as its thinning to
-density lambda theta/(2 pi) at the sector gain.  Within r_max a tier has a
-Poisson(lambda' b r_max^l / l) count of stations, uniform in the ball.  Each
-station carries an i.i.d. fading mark; the serving station is the strongest
-received power.  The interference beyond r_max is compensated by its exact
-mean, so truncation drops only its fluctuation, whose standard deviation
-falls as r_max^(l/2 - eps); the default radius is sized by that.
+Each heard tier (``network.heard_tiers``: a sectored tier thinned to the
+theta/(2 pi) share of its stations facing the receiver, at the sector gain)
+is drawn as its own Poisson field; superposed, they are the network.  Within
+r_max a tier has a Poisson(lambda' b r_max^l / l) count of stations, uniform
+in the ball.  Each station carries an i.i.d. fading mark; the serving
+station is the strongest received power.  The interference beyond r_max is
+compensated by its exact mean, so truncation drops only its fluctuation,
+whose standard deviation falls as r_max^(l/2 - eps); the default radius is
+sized by that.
 
 Reproducibility contract: realization j lives in block j // BLOCK_SIZE at
 row j % BLOCK_SIZE, and block b draws from the counter-indexed Philox
@@ -31,6 +31,7 @@ from .network import (
     MomentFading,
     NetworkSpec,
     NoFading,
+    heard_tiers,
 )
 
 __all__ = [
@@ -89,15 +90,6 @@ class EmpiricalTail:
 # ---------------------------------------------------------------------------
 
 
-def _heard_tiers(spec: NetworkSpec):
-    """(density, power) of each audible tier; a sectored tier is thinned to
-    the stations facing the receiver, heard at the sector gain."""
-    heard = [(t.density, t.power) if t.sector is None
-             else (t.density * t.sector.face_probability, t.sector.gain)
-             for t in spec.tiers]
-    return [(lam, p) for lam, p in heard if lam > 0.0 and p > 0.0]
-
-
 def _far_field_mean(spec: NetworkSpec, r_max: float) -> float:
     """Expected interference from beyond r_max: the heard power density
     sum_i lambda'_i P_i E[Psi] integrated outward against r^-eps."""
@@ -106,14 +98,15 @@ def _far_field_mean(spec: NetworkSpec, r_max: float) -> float:
             "moment-only fading cannot be sampled; use the analytic path"
         )
     l, b, eps = spec.dim.l, spec.dim.b, spec.epsilon
-    power_density = sum(lam * p for lam, p in _heard_tiers(spec)) * spec.fading.mean
+    power_density = (sum(lam * p for lam, p in heard_tiers(spec))
+                     * spec.fading.moment(1.0))
     return power_density * b * r_max ** (l - eps) / (eps - l)
 
 
 def _stations_per_row(spec: NetworkSpec, r_max: float) -> float:
     """Expected heard stations within r_max, sum_i lambda'_i b r_max^l / l."""
     with np.errstate(over="ignore"):  # inf for a radius past float range
-        lam = sum(lam for lam, _ in _heard_tiers(spec))
+        lam = sum(lam for lam, _ in heard_tiers(spec))
         return float(lam * spec.dim.b / spec.dim.l * np.float64(r_max)**spec.dim.l)
 
 
@@ -138,7 +131,7 @@ def _block_ps_pi(spec: NetworkSpec, r_max: float, rows: int, rng):
     far = _far_field_mean(spec, r_max)
     sigma = spec.fading.sigma if isinstance(spec.fading, LogNormalFading) else 0.0
     p_s, total = np.zeros(rows), np.zeros(rows)
-    for lam, power in _heard_tiers(spec):
+    for lam, power in heard_tiers(spec):
         counts, rx = _tier_points(rng, rows, lam * b * r_max**l / l)
         # received power P Psi R^-eps, with R^-eps = r_max^-eps U^(-eps/l)
         gain = power * r_max ** (-eps)
@@ -175,7 +168,7 @@ def _simulate_blocks(spec: NetworkSpec, r_max: float, n: int, seed: int,
     A field with no audible station, or whose block would expect more than
     _MAX_BLOCK_STATIONS stations, is refused before any draw.
     """
-    if not _heard_tiers(spec):
+    if not heard_tiers(spec):
         raise UnsupportedSettingError("no station can be heard: every tier has power 0")
     rows = min(BLOCK_SIZE, n)
     stations = rows * _stations_per_row(spec, r_max)
@@ -216,7 +209,7 @@ def default_r_max(spec: NetworkSpec, *, seed: int = 0) -> float:
                                                     stream_base=_PILOT_STREAM_BASE)]
     typical = float(np.median(np.concatenate(pilot)))
     # the pilot has refused MomentFading, whose moment(2) is not E[Psi^2]
-    c = math.sqrt(sum(lam * p * p for lam, p in _heard_tiers(spec))
+    c = math.sqrt(sum(lam * p * p for lam, p in heard_tiers(spec))
                   * spec.fading.moment(2.0) * b / (2.0 * eps - l))
     r = (_FAR_FIELD_SD_FRACTION * typical / c) ** (1.0 / (0.5 * l - eps))
     return max(r, (20.0 / _stations_per_row(spec, 1.0)) ** (1.0 / l))

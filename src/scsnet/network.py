@@ -11,12 +11,14 @@ For signal-quality statistics every such network is equivalent to a single
 unit-density, unit-power, fading-free field plus one scalar: the normalized
 noise N' = N * lambda_eff^(-eps/l), where
 
-    lambda_eff = (sum_i lambda_i) * E[K^(l/eps)] * E[Psi^(l/eps)]
+    lambda_eff = sum_i lambda'_i P_i^(l/eps) * E[Psi^(l/eps)]
 
-with K drawn from the tier-mixing (and sectoring) power mass function.  The
-operations below implement that reduction chain.  All values are immutable
-and every operation is a pure function, so everything here is safe to share
-across threads.
+runs over the heard tiers of ``heard_tiers``: an unsectored tier is heard at
+its density and power, a sectored one at its sector gain by the theta/(2 pi)
+share of its stations that face the receiver.  The operations below
+implement that reduction chain.  All values are immutable and every
+operation is a pure function, so everything here is safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "Dimension",
@@ -35,14 +37,11 @@ __all__ = [
     "MomentFading",
     "Fading",
     "NetworkSpec",
-    "PowerPmf",
     "CanonicalSystem",
     "SpecError",
     "DegenerateNetworkError",
     "Reduction",
-    "power_pmf",
-    "power_moment",
-    "fading_moment",
+    "heard_tiers",
     "reduce_network",
     "canonicalize",
     "noise_after_adding_tiers",
@@ -135,10 +134,6 @@ class NoFading:
     def moment(self, a: float) -> float:
         return 1.0
 
-    @property
-    def mean(self) -> float:
-        return 1.0
-
 
 @dataclass(frozen=True)
 class LogNormalFading:
@@ -156,10 +151,6 @@ class LogNormalFading:
 
     def moment(self, a: float) -> float:
         return math.exp(0.5 * (a * self.sigma) ** 2)
-
-    @property
-    def mean(self) -> float:
-        return math.exp(0.5 * self.sigma**2)
 
 
 @dataclass(frozen=True)
@@ -181,52 +172,6 @@ class MomentFading:
 
 
 Fading = Union[NoFading, LogNormalFading, MomentFading]
-
-
-@dataclass(frozen=True)
-class PowerPmf:
-    """Discrete distribution of per-station transmission powers.
-
-    Duplicate powers are merged by summing probabilities (exact equality;
-    powers are user inputs, not computed quantities), so atoms are distinct
-    and there is at most one zero-power atom.
-    """
-
-    powers: Tuple[float, ...]
-    probs: Tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.powers) != len(self.probs) or not self.powers:
-            raise SpecError("power pmf needs matching, nonempty atom arrays")
-        if any(k < 0 for k in self.powers):
-            raise SpecError("powers must be >= 0")
-        if any(p < 0 for p in self.probs):
-            raise SpecError("probabilities must be >= 0")
-        if len(set(self.powers)) != len(self.powers):
-            raise SpecError("powers must be distinct after merging")
-        if abs(sum(self.probs) - 1.0) > 1e-12:
-            raise SpecError(f"probabilities must sum to 1, got {sum(self.probs)}")
-
-    @classmethod
-    def from_atoms(cls, atoms) -> "PowerPmf":
-        """Build from (power, prob) pairs, merging duplicate powers."""
-        merged = {}
-        for kappa, p in atoms:
-            merged[kappa] = merged.get(kappa, 0.0) + p
-        items = sorted(merged.items(), key=lambda kp: -kp[0])
-        return cls(tuple(k for k, _ in items), tuple(p for _, p in items))
-
-    @property
-    def atoms(self):
-        return list(zip(self.powers, self.probs))
-
-    def moment(self, a: float) -> float:
-        """E[K^a]; zero-power atoms contribute nothing."""
-        return sum(p * k**a for k, p in zip(self.powers, self.probs) if k > 0)
-
-    @property
-    def mean(self) -> float:
-        return sum(p * k for k, p in zip(self.powers, self.probs))
 
 
 @dataclass(frozen=True)
@@ -295,53 +240,26 @@ class CanonicalSystem:
         return self.epsilon / self.dim.l
 
 
-def power_moment(pmf: PowerPmf, a: float) -> float:
-    """E[K^a] for 0 < a < 1; the factor that absorbs power disparity."""
-    if not (0.0 < a < 1.0):
-        raise ValueError(f"a must lie in (0, 1), got {a}")
-    return pmf.moment(a)
+def heard_tiers(spec: NetworkSpec) -> List[Tuple[float, float]]:
+    """(density, power) of each tier a receiver can hear.
 
-
-def fading_moment(fading: Fading, a: float) -> float:
-    """E[Psi^a] for 0 < a < 1; the factor that absorbs shadow fading."""
-    if not (0.0 < a < 1.0):
-        raise ValueError(f"a must lie in (0, 1), got {a}")
-    return fading.moment(a)
-
-
-def power_pmf(spec: NetworkSpec) -> PowerPmf:
-    """Power mark of one station of the superposed field, after sectoring.
-
-    The superposition of independent Poisson fields is Poisson with the
-    summed density, and a station belongs to tier i with probability
-    lambda_i / sum_j lambda_j.  A sectored station is heard at its gain with
-    probability theta/(2*pi) and not at all otherwise, so the missing mass
-    moves to the zero-power atom; the facing probability is planar geometry,
-    applied verbatim in every dimension.  Sectoring is applied per tier
-    before merging, so equal-power tiers with different antennas keep their
-    own facing probabilities.
+    A sectored station faces the receiver with probability theta/(2*pi),
+    independently per station, so a sectored tier is heard as its thinning
+    to that share of its density, at the sector gain; the facing probability
+    is planar geometry, applied verbatim in every dimension.  Tiers heard at
+    zero power are left out.
     """
-    total = spec.total_density
-    atoms = []
-    zero_mass = 0.0
-    for t in spec.tiers:
-        p = t.density / total
-        if t.sector is None:
-            atoms.append((t.power, p))
-        else:
-            f = t.sector.face_probability
-            atoms.append((t.sector.gain, p * f))
-            zero_mass += p * (1.0 - f)
-    if zero_mass > 0.0:
-        atoms.append((0.0, zero_mass))
-    return PowerPmf.from_atoms(atoms)
+    heard = [(t.density, t.power) if t.sector is None
+             else (t.density * t.sector.face_probability, t.sector.gain)
+             for t in spec.tiers]
+    return [(lam, p) for lam, p in heard if lam > 0.0 and p > 0.0]
 
 
 @dataclass(frozen=True)
 class Reduction:
     """The factors of lambda_eff and the canonical system they give."""
 
-    power_moment: float  # E[K^(l/eps)], powers taken after sectoring
+    power_moment: float  # sum_i lambda'_i P_i^(l/eps) / total density
     fading_moment: float  # E[Psi^(l/eps)]
     lambda_eff: float
     canon: CanonicalSystem
@@ -351,21 +269,20 @@ def reduce_network(spec: NetworkSpec) -> Reduction:
     """Reduce a full network to its canonical (l, epsilon, N') equivalent.
 
     N' = N * lambda_eff^(-eps/l) with
-    lambda_eff = total density * E[K^(l/eps)] * E[Psi^(l/eps)].  A network
-    whose whole power mass sits at zero is rejected rather than mapped to
+    lambda_eff = sum_i lambda'_i P_i^(l/eps) * E[Psi^(l/eps)] over the heard
+    tiers.  A network with no heard tier is rejected rather than mapped to
     N' = infinity.
     """
     a = spec.a
-    k_moment = power_pmf(spec).moment(a)
-    if k_moment == 0.0:
-        raise DegenerateNetworkError(
-            "all transmission-power mass is at zero; the network is empty"
-        )
-    psi_moment = fading_moment(spec.fading, a)
-    lam_eff = spec.total_density * k_moment * psi_moment
+    heard = heard_tiers(spec)
+    if not heard:
+        raise DegenerateNetworkError("no station can be heard: every tier has power 0")
+    lam_unfaded = sum(lam * p**a for lam, p in heard)
+    psi_moment = spec.fading.moment(a)
+    lam_eff = lam_unfaded * psi_moment
     nprime = spec.noise * lam_eff ** (-spec.epsilon / spec.dim.l)
     canon = CanonicalSystem(dim=spec.dim, epsilon=spec.epsilon, nprime=nprime)
-    return Reduction(k_moment, psi_moment, lam_eff, canon)
+    return Reduction(lam_unfaded / spec.total_density, psi_moment, lam_eff, canon)
 
 
 def canonicalize(spec: NetworkSpec) -> CanonicalSystem:
@@ -379,23 +296,17 @@ def noise_after_adding_tiers(
     """Normalized noise before (N1) and after (N2) overlaying extra tiers.
 
     N1 = N * lambda1^(-eps/l) / kappa1 for the base tier alone;
-    N2 = N1 * (1 + sum_i (lambda_i/lambda1)(kappa_i/kappa1)^(l/eps))^(-eps/l).
-    Any added tier with positive density and power strictly lowers the
+    N2 = N1 * (1 + sum_i (lambda_i/lambda1)(kappa_i/kappa1)^(l/eps))^(-eps/l),
+    where lambda and kappa are each tier's heard density and power (see
+    heard_tiers): a sectored tier is heard at its gain by theta/(2*pi) of
+    its stations.  Any added tier that can be heard strictly lowers the
     normalized noise, hence strictly improves C/(I+N).
     """
-    if base.power <= 0:
-        raise SpecError("base tier power must be > 0")
-    if not (math.isfinite(epsilon) and epsilon > dim.l):
-        raise SpecError(f"epsilon={epsilon} must be finite and exceed l={dim.l}")
-    if not (math.isfinite(noise) and noise >= 0):
-        raise SpecError(f"noise must be finite and >= 0, got {noise}")
-    a = dim.l / epsilon
-    n1 = noise * base.density ** (-epsilon / dim.l) / base.power
-    s = sum(
-        (t.density / base.density) * (t.power / base.power) ** a for t in added
-    )
-    n2 = n1 * (1.0 + s) ** (-epsilon / dim.l)
-    return n1, n2
+    def nprime(tiers):
+        spec = NetworkSpec(dim=dim, epsilon=epsilon, tiers=tiers, noise=noise)
+        return reduce_network(spec).canon.nprime
+
+    return nprime((base,)), nprime((base, *added))
 
 
 def as_network_spec(canon: CanonicalSystem) -> NetworkSpec:

@@ -43,6 +43,23 @@ class TestReduce:
         code, out, _ = run(capsys, "reduce", path, "--json")
         assert json.loads(out)["nprime"] == pytest.approx(0.37)
 
+    def test_readme_sectored_spec_reduces_over_heard_tiers(self, capsys, tmp_path):
+        # the README spec: 1/3 of tier 1 heard at gain 20, tier 2 at 0.1; a = 1/2
+        path = tmp_path / "readme.json"
+        path.write_text(json.dumps({
+            "dimension": 2, "epsilon": 4.0, "noise": 1.0e-9,
+            "fading": {"type": "lognormal", "sigma_db": 8.0},
+            "tiers": [
+                {"density": 1.0, "power": 10.0,
+                 "sector": {"gain": 20.0, "beamwidth_deg": 120.0}},
+                {"density": 5.0, "power": 0.1},
+            ],
+        }))
+        code, out, _ = run(capsys, "reduce", path, "--json")
+        assert code == 0
+        want = (1.0 / 3.0 * 20.0**0.5 + 5.0 * 0.1**0.5) / 6.0
+        assert json.loads(out)["power_moment"] == pytest.approx(want, rel=1e-14)
+
     def test_two_tier_noise_ratio(self, capsys, tmp_path):
         # overlaying a second tier: N2/N1 = (1 + (l2/l1)(k2/k1)^(l/eps))^(-eps/l)
         base = {"dimension": 2, "epsilon": 4.0, "noise": 1.0,

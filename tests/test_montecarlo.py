@@ -23,7 +23,6 @@ from scsnet import (
     empirical_tail_ci,
     empirical_tail_cin,
     empirical_tail_fewbs,
-    power_pmf,
     substream,
     tail_ci,
 )
@@ -157,12 +156,11 @@ class TestRealize:
         )
         # the serving station is the nearest facing one, so within r the row
         # hears nothing with probability exp(-lambda P(K > 0) b r^l / l), with
-        # P(K > 0) = theta/(2 pi) the sector pmf's nonzero mass
+        # P(K > 0) = theta/(2 pi) the share of stations facing the receiver
         r, rows = 1.0, 100_000
         p_s, _, _ = _block_ps_pi(spec, 2.0, rows, substream(7, 0))
         frac = float((p_s <= 3.0 * r**-4.0).mean())
-        heard = 1.0 - dict(power_pmf(spec).atoms).get(0.0, 0.0)
-        assert heard == pytest.approx(theta / (2 * math.pi), rel=1e-12)
+        heard = theta / (2 * math.pi)
         want = math.exp(-heard * D2.b * r**2 / 2)
         se = math.sqrt(want * (1 - want) / rows)
         assert abs(frac - want) < 3.0 * se

@@ -11,16 +11,14 @@ from scsnet import (
     MomentFading,
     NetworkSpec,
     NoFading,
-    PowerPmf,
     Sector,
     SpecError,
     Tier,
     as_network_spec,
     canonicalize,
-    fading_moment,
+    heard_tiers,
     noise_after_adding_tiers,
-    power_moment,
-    power_pmf,
+    reduce_network,
     sigma_db_to_natural,
     spec_from_json,
 )
@@ -104,28 +102,25 @@ class TestValidation:
         with pytest.raises(SpecError):
             NetworkSpec(dim=Dimension(2), epsilon=4.0, tiers=())
 
-    def test_pmf_invariants(self):
-        with pytest.raises(SpecError):
-            PowerPmf(powers=(1.0, 1.0), probs=(0.5, 0.5))
-        with pytest.raises(SpecError):
-            PowerPmf(powers=(1.0, 2.0), probs=(0.5, 0.6))
-        pmf = PowerPmf.from_atoms([(1.0, 0.25), (1.0, 0.75)])
-        assert pmf.atoms == [(1.0, 1.0)]
-
 
 class TestSuperpose:
+    # l = 2, eps = 4 throughout unless set: power moments are taken at a = 1/2
     def test_single_tier_is_itself(self):
-        assert power_pmf(spec_of([Tier(1.0, 5.0)])).atoms == [(5.0, 1.0)]
+        spec = spec_of([Tier(1.0, 5.0)])
+        assert heard_tiers(spec) == [(1.0, 5.0)]
+        assert reduce_network(spec).power_moment == pytest.approx(5.0**0.5, rel=1e-14)
 
     def test_equal_powers_merge(self):
         spec = spec_of([Tier(1.0, 1.0), Tier(3.0, 1.0)])
         assert spec.total_density == 4.0
-        assert power_pmf(spec).atoms == [(1.0, 1.0)]
+        assert reduce_network(spec).power_moment == 1.0
 
     def test_two_tier_mixing(self):
         spec = spec_of([Tier(1.0, 10.0), Tier(3.0, 1.0)])
         assert spec.total_density == 4.0
-        assert power_pmf(spec).atoms == [(10.0, 0.25), (1.0, 0.75)]
+        assert heard_tiers(spec) == [(1.0, 10.0), (3.0, 1.0)]
+        assert reduce_network(spec).power_moment == pytest.approx(
+            (10.0**0.5 + 3.0) / 4.0, rel=1e-14)
 
     def test_density_sums_exactly(self):
         rng = np.random.default_rng(1)
@@ -135,11 +130,10 @@ class TestSuperpose:
             spec = spec_of(tiers)
             total = spec.total_density
             assert total == sum(t.density for t in tiers)
-            pmf = power_pmf(spec)
-            # probabilities proportional to densities
-            for t in tiers:
-                j = pmf.powers.index(t.power)
-                assert pmf.probs[j] == pytest.approx(t.density / total, rel=1e-14)
+            assert heard_tiers(spec) == [(t.density, t.power) for t in tiers]
+            # each tier weighs in by its share of the density
+            want = sum(t.density / total * math.sqrt(t.power) for t in tiers)
+            assert reduce_network(spec).power_moment == pytest.approx(want, rel=1e-14)
 
 
 class TestSectoring:
@@ -147,16 +141,20 @@ class TestSectoring:
         tiers = [Tier(1.0, 2.0), Tier(1.0, 1.0)]
         full_beam = [Tier(t.density, t.power, Sector(gain=t.power, beamwidth=2 * math.pi))
                      for t in tiers]
-        assert power_pmf(spec_of(full_beam)) == power_pmf(spec_of(tiers))
+        assert heard_tiers(spec_of(full_beam)) == heard_tiers(spec_of(tiers))
+        assert reduce_network(spec_of(full_beam)) == reduce_network(spec_of(tiers))
 
     def test_half_beam_single_atom(self):
         spec = spec_of([Tier(1.0, 1.0, Sector(gain=1.0, beamwidth=math.pi))])
-        assert power_pmf(spec).atoms == [(1.0, 0.5), (0.0, 0.5)]
+        assert heard_tiers(spec) == [(0.5, 1.0)]
+        assert reduce_network(spec).power_moment == 0.5
 
     def test_mixed_sectored_unsectored(self):
         spec = spec_of([Tier(1.0, 2.0, Sector(gain=4.0, beamwidth=math.pi)),
                         Tier(1.0, 1.0)])
-        assert power_pmf(spec).atoms == [(4.0, 0.25), (1.0, 0.5), (0.0, 0.25)]
+        assert heard_tiers(spec) == [(0.5, 4.0), (1.0, 1.0)]
+        # (0.5 * 4^(1/2) + 1 * 1^(1/2)) / 2
+        assert reduce_network(spec).power_moment == 1.0
 
     def test_mass_preserved_and_moment_never_grows(self):
         rng = np.random.default_rng(7)
@@ -174,48 +172,45 @@ class TestSectoring:
                     theta = rng.uniform(0.2, 2 * math.pi)
                     sectored.append(Tier(d, k, Sector(gain=k * 2 * math.pi / theta,
                                                       beamwidth=theta)))
-            pmf = power_pmf(spec_of(plain))
-            out = power_pmf(spec_of(sectored))
-            assert sum(out.probs) == pytest.approx(1.0, abs=1e-12)
-            a = rng.uniform(0.05, 0.95)
+            heard = heard_tiers(spec_of(sectored))
+            assert sum(lam * p for lam, p in heard) == pytest.approx(
+                float(dens @ powers), rel=1e-12)
+            eps = 2.0 / rng.uniform(0.05, 0.95)
             # with E[K] held fixed, concentrating power cannot raise E[K^a]
-            assert out.moment(a) <= pmf.moment(a) + 1e-12
+            out = reduce_network(spec_of(sectored, eps=eps)).power_moment
+            assert out <= reduce_network(spec_of(plain, eps=eps)).power_moment + 1e-12
 
 
 class TestMoments:
     def test_unit_power(self):
-        assert power_moment(PowerPmf.from_atoms([(1.0, 1.0)]), 0.3) == 1.0
+        spec = spec_of([Tier(1.0, 1.0)], eps=2.0 / 0.3)
+        assert reduce_network(spec).power_moment == 1.0
 
     def test_sqrt_of_sixteen(self):
-        assert power_moment(PowerPmf.from_atoms([(16.0, 1.0)]), 0.5) == pytest.approx(4.0)
+        assert reduce_network(spec_of([Tier(1.0, 16.0)])).power_moment == 4.0
 
-    def test_zero_atom_contributes_nothing(self):
-        pmf = PowerPmf.from_atoms([(1.0, 0.5), (0.0, 0.5)])
-        assert power_moment(pmf, 0.5) == pytest.approx(0.5)
+    def test_zero_power_tier_contributes_nothing(self):
+        spec = spec_of([Tier(1.0, 1.0), Tier(1.0, 0.0)])
+        assert heard_tiers(spec) == [(1.0, 1.0)]
+        assert reduce_network(spec).power_moment == 0.5
 
     def test_fading_moment_values(self):
-        assert fading_moment(LogNormalFading(0.0), 0.5) == 1.0
+        assert LogNormalFading(0.0).moment(0.5) == 1.0
         # l=2, eps=4 -> a=1/2; matches exp(2 sigma^2 / eps^2) at sigma=2
-        assert fading_moment(LogNormalFading(2.0), 0.5) == pytest.approx(
+        assert LogNormalFading(2.0).moment(0.5) == pytest.approx(
             math.exp(0.5), rel=1e-14
         )
-        assert fading_moment(MomentFading(1.3), 0.7) == 1.3
+        assert MomentFading(1.3).moment(0.7) == 1.3
 
     def test_fading_moment_monotone(self):
         sigmas = [0.0, 0.5, 1.0, 2.0, 4.0]
         for a in (0.2, 0.5, 0.8):
-            vals = [fading_moment(LogNormalFading(s), a) for s in sigmas]
+            vals = [LogNormalFading(s).moment(a) for s in sigmas]
             assert vals == sorted(vals)
             assert vals[0] == 1.0
         ayes = [0.1, 0.3, 0.6, 0.9]
-        vals = [fading_moment(LogNormalFading(1.5), a) for a in ayes]
+        vals = [LogNormalFading(1.5).moment(a) for a in ayes]
         assert vals == sorted(vals)
-
-    def test_moment_domain(self):
-        with pytest.raises(ValueError):
-            power_moment(PowerPmf.from_atoms([(1.0, 1.0)]), 1.0)
-        with pytest.raises(ValueError):
-            fading_moment(NoFading(), 0.0)
 
 
 class TestCanonicalize:
@@ -264,17 +259,14 @@ class TestCanonicalize:
             canonicalize(spec_of([Tier(1.0, 0.0)], noise=1.0))
 
     def test_equal_power_tiers_with_different_sectors(self):
-        # merging must not conflate tiers whose antennas differ
+        # equal-power tiers whose antennas differ keep their own facing shares
         spec = spec_of([
             Tier(1.0, 2.0, Sector(gain=4.0, beamwidth=math.pi)),
             Tier(1.0, 2.0),
         ])
-        pmf = power_pmf(spec)
-        assert pmf.atoms == [(4.0, 0.25), (2.0, 0.5), (0.0, 0.25)]
-        # E[K^a] at a=1/2: 0.25*2 + 0.5*sqrt(2)
-        expected = 0.25 * 2.0 + 0.5 * math.sqrt(2.0)
-        assert pmf.moment(0.5) == pytest.approx(expected, rel=1e-14)
-        canonicalize(spec)  # reduction accepts the mixed arrangement
+        assert heard_tiers(spec) == [(0.5, 4.0), (1.0, 2.0)]
+        expected = (0.5 * 4.0**0.5 + 2.0**0.5) / 2.0
+        assert reduce_network(spec).power_moment == pytest.approx(expected, rel=1e-14)
 
 
 class TestNoiseAfterAddingTiers:
@@ -307,6 +299,15 @@ class TestNoiseAfterAddingTiers:
             eps = l + rng.uniform(0.5, 4.0)
             n1, n2 = noise_after_adding_tiers(base, added, Dimension(l), eps, 1.0)
             assert n2 < n1
+
+    def test_sectored_overlay_heard_at_gain_by_facing_share(self):
+        # base: 1/3 of its stations heard at gain 3, lambda' P^(1/2) = 3^(-1/2);
+        # overlay: 2 * 1/4 heard at gain 4, adding 0.5 * 4^(1/2) = 1
+        base = Tier(1.0, 1.0, Sector(gain=3.0, beamwidth=2 * math.pi / 3))
+        added = [Tier(2.0, 0.5, Sector(gain=4.0, beamwidth=math.pi / 2))]
+        n1, n2 = noise_after_adding_tiers(base, added, Dimension(2), 4.0, 1.0)
+        assert n1 == pytest.approx(3.0, rel=1e-13)
+        assert n2 == pytest.approx((3.0**-0.5 + 1.0) ** -2.0, rel=1e-13)
 
 
 class TestJson:
@@ -349,4 +350,4 @@ class TestJson:
             "fading": {"type": "moment", "value": 1.3},
             "tiers": [{"density": 1, "power": 1}],
         })
-        assert fading_moment(spec.fading, 0.5) == 1.3
+        assert reduce_network(spec).fading_moment == 1.3
