@@ -53,10 +53,8 @@ from .analytic import (  # noqa: F401
     LookupRangeError,
     LookupTable,
     build_lookup_table,
-    charfn_interference_given_r1,
     charfn_inv_ci,
     charfn_inv_cin,
-    conditional_tail_mean,
     lookup,
     tail_ci,
     tail_ci2,

@@ -4,9 +4,9 @@ With stations at unit density, unit power and no fading, write a = l/eps and
 T_i for the unit-rate arrival times of the ordered station distances
 (T = b_l R^l / l).  The module provides:
 
-* the characteristic function of the total interference conditioned on the
-  nearest-station distance, and of the reciprocal ratio (C/I)^-1, which is
-  1 / 1F1(-a; 1-a; i*w) and depends on eps/l alone;
+* the characteristic functions of the reciprocal ratios: (C/I)^-1, which is
+  1 / 1F1(-a; 1-a; i*w) and depends on eps/l alone, and (C/(I+N'))^-1, an
+  average of the charfn conditioned on the nearest-station distance;
 * exact tail probabilities P(C/I > eta) and P(C/(I+N') > eta).  Below
   eta = 1 they come from numerical inversion of those characteristic
   functions.  On [1, inf) at most one station can beat the threshold, and
@@ -25,12 +25,13 @@ unlike C/I; the canonical system carries that information.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -47,13 +48,11 @@ __all__ = [
     "LookupTable",
     "LookupRangeError",
     "NumericDegeneracyError",
-    "charfn_interference_given_r1",
     "charfn_inv_ci",
     "charfn_inv_cin",
     "tail_ci",
     "tail_ci_closed",
     "tail_ci2",
-    "conditional_tail_mean",
     "tail_cin",
     "tail_cin_closed",
     "build_lookup_table",
@@ -73,26 +72,6 @@ class NumericDegeneracyError(ArithmeticError):
 # ---------------------------------------------------------------------------
 # characteristic functions
 # ---------------------------------------------------------------------------
-
-
-def charfn_interference_given_r1(
-    dim: Dimension, epsilon: float, lambda0: float, power: float, omega, r1: float
-):
-    """Charfn of total interference given nearest-station distance r1.
-
-    E[e^{i w P_I} | R_1 = r1] =
-        exp( (lambda0 b r1^l / l) * (1 - 1F1(-a; 1-a; i w K / r1^eps)) ),
-    a characteristic function, so its modulus never exceeds 1.
-    """
-    if not (r1 > 0):
-        raise ValueError(f"r1 must be > 0, got {r1}")
-    if not (epsilon > dim.l):
-        raise ValueError(f"epsilon={epsilon} must exceed l={dim.l}")
-    a = dim.l / epsilon
-    w = np.asarray(omega, dtype=float)
-    arg = w * power / r1**epsilon
-    f = kummer_1f1_neg_a(a, arg)
-    return np.exp((lambda0 * dim.b * r1**dim.l / dim.l) * (1.0 - f))
 
 
 def charfn_inv_ci(ratio: float, omega):
@@ -124,8 +103,10 @@ _RAY_SPAN = 60.0  # e-foldings of decay covered along the ray
 def charfn_inv_cin(canon: CanonicalSystem, omega):
     """Charfn of (C/(I+N'))^-1 for the canonical system.
 
-    Conditioning on the nearest distance and substituting t = b_l r^l / l
-    (so the nearest-distance law becomes e^-t dt) gives
+    Given the nearest station at r, the stations beyond it are a fresh
+    Poisson field: E[e^{i w I} | R_1 = r] = exp(t (1 - 1F1(-a; 1-a; i w r^-eps)))
+    with t = b_l r^l / l.  Scaling by C = r^-eps and averaging over the
+    nearest-distance law e^-t dt gives
 
         phi(w) = int_0^inf exp(-t F(w) + i w N' (l t / b_l)^(eps/l)) dt,
 
@@ -295,22 +276,6 @@ def tail_ci2(ratio: float, eta: float) -> float:
     return 1.0 - (1.0 + u) * math.exp(-u) + eta ** (-a) * g_integral(u, ratio)
 
 
-def conditional_tail_mean(
-    lambda0: float, power: float, dim: Dimension, epsilon: float, r_k: float
-) -> float:
-    """Mean interference from stations beyond distance r_k, given r_k.
-
-    E[ sum_{R_i > r_k} K R_i^-eps | R_k = r_k ] =
-        lambda0 b_l K r_k^(l - eps) / (eps - l),
-    the mean of the Poisson far field integrated from r_k.
-    """
-    if not (r_k > 0):
-        raise ValueError(f"r_k must be > 0, got {r_k}")
-    if not (epsilon > dim.l):
-        raise ValueError(f"epsilon={epsilon} must exceed l={dim.l}")
-    return lambda0 * dim.b * power * r_k ** (dim.l - epsilon) / (epsilon - dim.l)
-
-
 def _cin_char_scale(canon: CanonicalSystem) -> float:
     # Dominant oscillation frequency of the C/(I+N') charfn: the unit mode
     # plus the noise term's typical scale N' * E[(l T / b)^(eps/l)].
@@ -362,22 +327,14 @@ class LookupTable:
     values: np.ndarray = field(repr=False)  # shape (n_eps, n_nprime, n_eta)
 
     def __post_init__(self):
+        grids = _grids(self.l, self.epsilons, self.nprimes, self.etas)
         v = np.asarray(self.values, dtype=float)
-        if v.shape != (len(self.epsilons), len(self.nprimes), len(self.etas)):
+        if v.shape != tuple(len(g) for g in grids.values()):
             raise ValueError("values shape must match the grids")
         if not np.all((v >= 0) & (v <= 1)):
             raise ValueError("table values must lie in [0, 1]")
-        if not all(math.isfinite(e) and e > self.l for e in self.epsilons):
-            raise ValueError(f"epsilons must be finite and > l={self.l}")
-        if not all(math.isfinite(n) and n > 0 for n in self.nprimes):
-            raise ValueError("nprimes must be finite and > 0")
-        if not all(math.isfinite(e) and e >= 0 for e in self.etas):
-            raise ValueError("etas must be finite and >= 0")
-        for name, grid in (("epsilons", self.epsilons),
-                           ("nprimes", self.nprimes), ("etas", self.etas)):
-            if list(grid) != sorted(grid):
-                raise ValueError(f"{name} grid must be sorted ascending")
-        object.__setattr__(self, "values", v)
+        for name, value in {**grids, "values": v}.items():
+            object.__setattr__(self, name, value)
 
     def to_csv(self, path) -> None:
         """Write `l,epsilon,nprime,eta,tail` rows at full float precision."""
@@ -408,23 +365,36 @@ class LookupTable:
         ls = {r[0] for r in rows}
         if len(ls) != 1:
             raise ValueError("lookup table must describe a single dimension")
-        epsilons = tuple(sorted({r[1] for r in rows}))
-        nprimes = tuple(sorted({r[2] for r in rows}))
-        etas = tuple(sorted({r[3] for r in rows}))
-        values = np.full((len(epsilons), len(nprimes), len(etas)), np.nan)
-        ei = {e: i for i, e in enumerate(epsilons)}
-        nj = {n: j for j, n in enumerate(nprimes)}
-        ek = {t: k for k, t in enumerate(etas)}
+        grids = [tuple(sorted({r[c] for r in rows})) for c in (1, 2, 3)]
+        index = [{x: i for i, x in enumerate(g)} for g in grids]
+        values = np.full(tuple(map(len, grids)), np.nan)
         for l_, eps, npr, eta, tail in rows:
-            cell = (ei[eps], nj[npr], ek[eta])
+            cell = tuple(ix[x] for ix, x in zip(index, (eps, npr, eta)))
             if not np.isnan(values[cell]):
                 raise ValueError(f"lookup table lists the cell epsilon={eps!r},"
                                  f" nprime={npr!r}, eta={eta!r} twice")
             values[cell] = tail
         if np.any(np.isnan(values)):
             raise ValueError("lookup table grid is not complete")
-        return cls(l=ls.pop(), epsilons=epsilons, nprimes=nprimes,
-                   etas=etas, values=values)
+        return cls(ls.pop(), *grids, values)
+
+
+def _grids(l: int, epsilons, nprimes, etas):
+    """The grids by name as float tuples, each nonempty, finite, strictly
+    increasing and in its domain: eps > l, N' > 0, eta >= 0."""
+    grids = {}
+    for name, grid, in_domain, domain in (
+        ("epsilons", epsilons, lambda x: x > l, f"> l={l}"),
+        ("nprimes", nprimes, lambda x: x > 0, "> 0"),
+        ("etas", etas, lambda x: x >= 0, ">= 0"),
+    ):
+        g = grids[name] = tuple(map(float, grid))
+        # a strictly increasing grid lies between its ends
+        if not (g and in_domain(g[0]) and math.isfinite(g[-1])
+                and all(x < y for x, y in zip(g, g[1:]))):
+            raise ValueError(f"{name} must be nonempty, finite, strictly "
+                             f"increasing and {domain}, got {list(g)}")
+    return grids
 
 
 def default_table_grids(l: int = 2):
@@ -435,39 +405,28 @@ def default_table_grids(l: int = 2):
     return epsilons, nprimes, etas
 
 
-def build_lookup_table(
-    l: int,
-    epsilon_grid: Sequence[float],
-    nprime_grid: Sequence[float],
-    eta_grid: Sequence[float],
-    *,
-    tol: float = 1e-5,
-    threads: Optional[int] = None,
-) -> LookupTable:
+def build_lookup_table(l: int, epsilon_grid: Sequence[float],
+                       nprime_grid: Sequence[float], eta_grid: Sequence[float],
+                       *, tol: float = 1e-5) -> LookupTable:
     """Tabulate tail_cin over the grid; cells are independent computations.
 
-    Parallelism (capped by ``threads`` or the SCS_THREADS environment
-    variable) distributes cells over a thread pool; results land by index,
-    so the output is identical for any schedule.
+    The grids are checked as LookupTable checks them, before any cell is
+    computed.  The SCS_THREADS environment variable (default 1) sets the
+    thread pool the cells are spread over; results land by index, so the
+    output is identical for any schedule.
     """
-    if not (len(epsilon_grid) and len(nprime_grid) and len(eta_grid)):
-        raise ValueError("all grids must be nonempty")
-    nprimes = list(nprime_grid)
-    if nprimes != sorted(nprimes) or not nprimes[0] > 0:
-        raise ValueError("nprime grid must be positive and sorted")
-    if threads is None:
-        threads = int(os.environ.get("SCS_THREADS", "1"))
     dim = Dimension(l)
-    eps_list = list(epsilon_grid)
-    eta_list = list(eta_grid)
-    values = np.empty((len(eps_list), len(nprimes), len(eta_list)))
+    grids = _grids(l, epsilon_grid, nprime_grid, eta_grid)
+    epsilons, nprimes, etas = grids.values()
+    threads = int(os.environ.get("SCS_THREADS", "1"))
+    values = np.empty((len(epsilons), len(nprimes), len(etas)))
 
     def cell(ij):
         i, j = ij
-        canon = CanonicalSystem(dim=dim, epsilon=eps_list[i], nprime=nprimes[j])
-        return [tail_cin(canon, eta, tol=tol) for eta in eta_list]
+        canon = CanonicalSystem(dim=dim, epsilon=epsilons[i], nprime=nprimes[j])
+        return [tail_cin(canon, eta, tol=tol) for eta in etas]
 
-    pairs = [(i, j) for i in range(len(eps_list)) for j in range(len(nprimes))]
+    pairs = [(i, j) for i in range(len(epsilons)) for j in range(len(nprimes))]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             for (i, j), row in zip(pairs, pool.map(cell, pairs)):
@@ -475,8 +434,16 @@ def build_lookup_table(
     else:
         for i, j in pairs:
             values[i, j, :] = cell((i, j))
-    return LookupTable(l=l, epsilons=tuple(eps_list), nprimes=tuple(nprimes),
-                       etas=tuple(eta_list), values=values)
+    return LookupTable(l=l, values=values, **grids)
+
+
+def _bracket(grid, x: float, f) -> Tuple[int, int, float]:
+    """Cell (i, i1) of a sorted grid holding x, and x's weight on grid[i1],
+    linear in f(x); a one-point grid is its own cell, at weight 0."""
+    if len(grid) == 1:
+        return 0, 0, 0.0
+    i = min(max(bisect.bisect_right(grid, x) - 1, 0), len(grid) - 2)
+    return i, i + 1, (f(x) - f(grid[i])) / (f(grid[i + 1]) - f(grid[i]))
 
 
 def lookup(table: LookupTable, spec: NetworkSpec, eta: float) -> float:
@@ -491,11 +458,8 @@ def lookup(table: LookupTable, spec: NetworkSpec, eta: float) -> float:
         raise LookupRangeError(
             f"table is for l={table.l}, spec has l={canon.dim.l}"
         )
-    eta_idx = None
-    for k, e in enumerate(table.etas):
-        if math.isclose(eta, e, rel_tol=1e-12, abs_tol=0.0):
-            eta_idx = k
-            break
+    eta_idx = next((k for k, e in enumerate(table.etas)
+                    if math.isclose(eta, e, rel_tol=1e-12, abs_tol=0.0)), None)
     if eta_idx is None:
         raise LookupRangeError(f"eta={eta} is not a grid value of the table")
     eps, npr = canon.epsilon, canon.nprime
@@ -506,25 +470,9 @@ def lookup(table: LookupTable, spec: NetworkSpec, eta: float) -> float:
     if not (npr_g[0] <= npr <= npr_g[-1]):
         raise LookupRangeError(f"N'={npr} outside table hull "
                                f"[{npr_g[0]}, {npr_g[-1]}]")
-    i = min(int(np.searchsorted(eps_g, eps, side="right")) - 1, len(eps_g) - 2)
-    j = min(int(np.searchsorted(npr_g, npr, side="right")) - 1, len(npr_g) - 2)
-    i = max(i, 0)
-    j = max(j, 0)
-    if len(eps_g) == 1:
-        wi = 0.0
-        i1 = i
-    else:
-        wi = (eps - eps_g[i]) / (eps_g[i + 1] - eps_g[i])
-        i1 = i + 1
-    if len(npr_g) == 1:
-        wj = 0.0
-        j1 = j
-    else:
-        # noise spans orders of magnitude: interpolate in log N'
-        wj = (math.log(npr) - math.log(npr_g[j])) / (
-            math.log(npr_g[j + 1]) - math.log(npr_g[j])
-        )
-        j1 = j + 1
+    i, i1, wi = _bracket(eps_g, eps, float)
+    # noise spans orders of magnitude: interpolate in log N'
+    j, j1, wj = _bracket(npr_g, npr, math.log)
     v = table.values
     return float(
         (1 - wi) * (1 - wj) * v[i, j, eta_idx]

@@ -74,6 +74,14 @@ def _write_manifest(out_path, command, args_dict, outputs, started):
     return path
 
 
+def _write_tails(path, rows):
+    """Write `eta,tail,method` rows at full float precision."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("eta,tail,method\n")
+        for eta, p, method in rows:
+            fh.write(f"{eta!r},{p!r},{method}\n")
+
+
 def _parse_floats(text):
     vals = [float(tok) for tok in text.split(",") if tok.strip()]
     if not vals:
@@ -157,12 +165,9 @@ def cmd_tail(args) -> int:
             f"valid pairs: {valid}"
         )
     canon = canonicalize(spec)
-    rows = []
     if args.method == "exact":
-        for eta in etas:
-            p = (tail_ci(canon.ratio, eta) if args.metric == "ci"
-                 else tail_cin(canon, eta))
-            rows.append((eta, p))
+        rows = [(eta, tail_ci(canon.ratio, eta) if args.metric == "ci"
+                 else tail_cin(canon, eta)) for eta in etas]
     elif args.method == "fewbs":
         rows = [(eta, tail_ci2(canon.ratio, eta)) for eta in etas]
     elif args.method == "lookup":
@@ -185,10 +190,7 @@ def cmd_tail(args) -> int:
               + ", ".join(f"{k}={v:.6g}" for k, v in stats.items()) + ")")
         return 0
     out = Path(args.out)
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("eta,tail,method\n")
-        for eta, p in rows:
-            fh.write(f"{eta!r},{p!r},{args.method}\n")
+    _write_tails(out, [(eta, p, args.method) for eta, p in rows])
     _write_manifest(out, "tail", {**_spec_args(args), "metric": args.metric,
                                   "method": args.method, "etas": etas},
                     [out], started)
@@ -259,25 +261,14 @@ def cmd_figures(args) -> int:
         # exact C/I versus the strongest-two closed form, planar case
         out = outdir / "fig2_fewbs_comparison.csv"
         etas = [float(e) for e in np.geomspace(0.01, 100.0, 25)]
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("eta,tail,method\n")
-            for eta in etas:
-                fh.write(f"{eta!r},{tail_ci(2.0, eta)!r},exact\n")
-            for eta in etas:
-                fh.write(f"{eta!r},{tail_ci2(2.0, eta)!r},fewbs\n")
+        _write_tails(out, [(eta, tail_ci(2.0, eta), "exact") for eta in etas]
+                     + [(eta, tail_ci2(2.0, eta), "fewbs") for eta in etas])
         outputs.append(out)
     elif args.which == "fig3":
         # noise lookup curves: P(C/(I+N') > 1) against N' for several epsilon
-        from .network import CanonicalSystem
         out = outdir / "fig3_noise_curves.csv"
-        nprimes = [float(x) for x in np.logspace(-4, 2, 13)]
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("l,epsilon,nprime,eta,tail\n")
-            for eps in (3.0, 4.0, 5.0):
-                for npr in nprimes:
-                    canon = CanonicalSystem(dim=Dimension(2), epsilon=eps,
-                                            nprime=npr)
-                    fh.write(f"2,{eps!r},{npr!r},1.0,{tail_cin(canon, 1.0)!r}\n")
+        nprimes = np.logspace(-4, 2, 13)
+        build_lookup_table(2, (3.0, 4.0, 5.0), nprimes, (1.0,)).to_csv(out)
         outputs.append(out)
     for out in outputs:
         _write_manifest(out, "figures", {"which": args.which, "n": args.n,

@@ -92,7 +92,9 @@ class EmpiricalTail:
 
 def _far_field_mean(spec: NetworkSpec, r_max: float) -> float:
     """Expected interference from beyond r_max: the heard power density
-    sum_i lambda'_i P_i E[Psi] integrated outward against r^-eps."""
+    sum_i lambda'_i P_i E[Psi] integrated outward against r^-eps.  The field
+    beyond the k-th nearest station is fresh, so at r_max = its distance (an
+    array works) this is also the strongest-few mean beyond station k."""
     if isinstance(spec.fading, MomentFading):
         raise UnsupportedSettingError(
             "moment-only fading cannot be sampled; use the analytic path"
@@ -237,6 +239,8 @@ def _empirical(etas, n, seed, method, blocks: Iterator) -> EmpiricalTail:
     after etas and n have been checked.
     """
     etas = [float(e) for e in etas]
+    if not all(eta >= 0 for eta in etas):
+        raise ValueError(f"every eta must be >= 0, got {etas}")
     if etas != sorted(etas):
         raise ValueError("etas must be sorted ascending")
     if n < 1:
@@ -294,8 +298,7 @@ def _fewbs_ratios(spec: NetworkSpec, n: int, seed: int, k: int):
         radii = (l * t / (lam * b)) ** (1.0 / l)
         p_s = kpow * radii[:, 0] ** (-eps)
         exact = (kpow * radii[:, 1:k] ** (-eps)).sum(axis=1) if k >= 2 else 0.0
-        r_k = radii[:, k - 1]
-        mean_rest = lam * b * kpow * r_k ** (l - eps) / (eps - l)
+        mean_rest = _far_field_mean(spec, radii[:, k - 1])
         yield p_s / (exact + mean_rest), 0, None, None
 
 

@@ -13,10 +13,11 @@ from scsnet import (
     Tier,
     build_lookup_table,
     canonicalize,
-    charfn_interference_given_r1,
     charfn_inv_ci,
     charfn_inv_cin,
-    conditional_tail_mean,
+    empirical_tail_ci,
+    empirical_tail_cin,
+    empirical_tail_fewbs,
     lookup,
     noise_after_adding_tiers,
     tail_ci,
@@ -25,69 +26,12 @@ from scsnet import (
     tail_cin,
     tail_cin_closed,
 )
+from scsnet import analytic
 from scsnet.analytic import _envelope_ci
 from scsnet.montecarlo import substream
 from scsnet.numerics import g_integral, invert_tail
 
 D2 = Dimension(2)
-
-
-def interference_beyond(rng, rows, r_inner, r_outer, eps=4.0, lam=1.0, chunk=10_000):
-    """Total interference from a planar unit field on [r_inner, r_outer].
-
-    Conditioned on a station at r_inner, the stations beyond it form a fresh
-    Poisson field, so sampling the annulus gives the conditional law; the
-    mean field beyond r_outer is added as its (tiny) deterministic limit.
-    Accumulates in row chunks to keep memory flat.
-    """
-    b = D2.b
-    t_lo = lam * b * r_inner**2 / 2
-    t_hi = lam * b * r_outer**2 / 2
-    mu = t_hi - t_lo
-    cols = int(mu + 8 * math.sqrt(mu) + 16)
-    comp = lam * b * r_outer ** (2.0 - eps) / (eps - 2.0)
-    out = np.empty(rows)
-    done = 0
-    while done < rows:
-        m = min(chunk, rows - done)
-        t = t_lo + rng.exponential(size=(m, cols)).cumsum(axis=1)
-        while t[:, -1].min() < t_hi:
-            t = np.hstack(
-                [t, t[:, -1:] + rng.exponential(size=(m, 32)).cumsum(axis=1)]
-            )
-        radii = (2.0 * t / (lam * b)) ** 0.5
-        out[done:done + m] = (
-            np.where(t < t_hi, radii**-eps, 0.0).sum(axis=1) + comp
-        )
-        done += m
-    return out
-
-
-class TestCharfnInterference:
-    def test_value_at_zero(self):
-        assert charfn_interference_given_r1(D2, 4.0, 1.0, 1.0, 0.0, 1.0) == 1.0 + 0.0j
-
-    def test_conjugate_symmetry_and_modulus(self):
-        w = np.array([0.5, 1.0, 3.0, 10.0])
-        plus = charfn_interference_given_r1(D2, 4.0, 1.0, 1.0, w, 1.0)
-        minus = charfn_interference_given_r1(D2, 4.0, 1.0, 1.0, -w, 1.0)
-        np.testing.assert_allclose(minus, np.conj(plus), rtol=0, atol=0)
-        assert np.all(np.abs(plus) <= 1.0 + 1e-12)
-
-    def test_against_empirical_charfn(self):
-        # interference conditioned on nearest distance 1: stations beyond 1
-        rng = substream(101, 0)
-        p_i = interference_beyond(rng, 100_000, 1.0, 15.0)
-        for omega in (0.7, 1.0):
-            z = np.exp(1j * omega * p_i)
-            emp = z.mean()
-            se = math.hypot(z.real.std(), z.imag.std()) / math.sqrt(len(z))
-            model = charfn_interference_given_r1(D2, 4.0, 1.0, 1.0, omega, 1.0)
-            assert abs(emp - model) < 3.0 * se, f"omega={omega}"
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            charfn_interference_given_r1(D2, 4.0, 1.0, 1.0, 1.0, 0.0)
 
 
 class TestCharfnInvCi:
@@ -239,26 +183,6 @@ class TestFewBs:
         for i, eta in enumerate(emp.etas):
             want = tail_ci2(2.0, eta)
             assert abs(want - emp.tails[i]) <= emp.halfwidths[i]
-
-
-class TestConditionalTailMean:
-    def test_planar_unit_case_is_pi(self):
-        assert conditional_tail_mean(1.0, 1.0, D2, 4.0, 1.0) == pytest.approx(math.pi)
-
-    def test_linear_in_power(self):
-        one = conditional_tail_mean(1.0, 1.0, D2, 4.0, 2.0)
-        two = conditional_tail_mean(1.0, 2.0, D2, 4.0, 2.0)
-        assert two == pytest.approx(2.0 * one, rel=1e-14)
-
-    def test_against_conditioned_simulation(self):
-        rng = substream(77, 0)
-        s = interference_beyond(rng, 100_000, 1.0, 12.0)
-        se = s.std() / math.sqrt(len(s))
-        assert abs(s.mean() - math.pi) < 3.0 * se
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            conditional_tail_mean(1.0, 1.0, D2, 4.0, 0.0)
 
 
 class TestTailCin:
@@ -477,6 +401,21 @@ class TestLookupTable:
         with pytest.raises(LookupRangeError):
             lookup(table, spec, 0.7)
 
+    def test_single_epsilon_interpolates_log_nprime(self):
+        one_eps = LookupTable(2, (4.0,), (0.01, 1.0), (1.0,), np.array([[[0.8], [0.4]]]))
+        spec = NetworkSpec(dim=D2, epsilon=4.0, tiers=(Tier(1.0, 1.0),), noise=0.1)
+        npr = canonicalize(spec).nprime
+        w = (math.log(npr) - math.log(0.01)) / (math.log(1.0) - math.log(0.01))
+        assert lookup(one_eps, spec, 1.0) == pytest.approx((1 - w) * 0.8 + w * 0.4,
+                                                           rel=1e-12)
+
+    def test_single_nprime_interpolates_linear_epsilon(self):
+        one_npr = LookupTable(2, (3.0, 5.0), (0.1,), (1.0,), np.array([[[0.9]], [[0.5]]]))
+        spec = NetworkSpec(dim=D2, epsilon=3.5, tiers=(Tier(1.0, 1.0),), noise=0.1)
+        assert canonicalize(spec).nprime == 0.1
+        assert lookup(one_npr, spec, 1.0) == pytest.approx(0.75 * 0.9 + 0.25 * 0.5,
+                                                           rel=1e-12)
+
     def test_dimension_mismatch_rejected(self, table):
         spec = NetworkSpec(dim=Dimension(1), epsilon=2.0,
                            tiers=(Tier(1.0, 1.0),), noise=0.1)
@@ -485,6 +424,7 @@ class TestLookupTable:
 
 
 NOISY = CanonicalSystem(dim=D2, epsilon=4.0, nprime=0.1)
+PLANAR = NetworkSpec(dim=D2, epsilon=4.0, tiers=(Tier(1.0, 1.0),), noise=0.1)
 
 
 @pytest.mark.parametrize("entry", [
@@ -495,11 +435,21 @@ NOISY = CanonicalSystem(dim=D2, epsilon=4.0, nprime=0.1)
     lambda eta: tail_cin_closed(NOISY, eta),
     lambda eta: invert_tail(lambda w: charfn_inv_ci(2.0, w), eta,
                             envelope=_envelope_ci(0.5)),
+    lambda eta: empirical_tail_ci(PLANAR, [eta], 100, 0),
+    lambda eta: empirical_tail_cin(PLANAR, [eta], 100, 0),
+    lambda eta: empirical_tail_fewbs(PLANAR, [eta], 100, 0),
 ], ids=["tail_ci", "tail_ci_closed", "tail_ci2", "tail_cin", "tail_cin_closed",
-        "invert_tail"])
+        "invert_tail", "empirical_tail_ci", "empirical_tail_cin", "empirical_tail_fewbs"])
 def test_nan_threshold_fails_fast(entry):
     with pytest.raises(ValueError, match="eta"):
         entry(math.nan)
+
+
+def test_negative_threshold_fails_fast_in_mc():
+    # unchecked, [-1, inf] would count every realization and then none
+    for entry in (empirical_tail_ci, empirical_tail_cin, empirical_tail_fewbs):
+        with pytest.raises(ValueError, match="eta must be >= 0"):
+            entry(PLANAR, [-1.0, math.inf], 100, 0)
 
 
 @pytest.mark.parametrize("entry, name", [
@@ -510,13 +460,8 @@ def test_nan_threshold_fails_fast(entry):
     (lambda: tail_ci2(0.5, 0.0), "ratio"),
     (lambda: charfn_inv_ci(math.nan, 1.0), "ratio"),
     (lambda: g_integral(0.0, math.nan), "ratio"),
-    (lambda: conditional_tail_mean(1.0, 1.0, D2, 4.0, math.nan), "r_k"),
-    (lambda: conditional_tail_mean(1.0, 1.0, D2, math.nan, 1.0), "epsilon"),
-    (lambda: charfn_interference_given_r1(D2, 4.0, 1.0, 1.0, 1.0, math.nan), "r1"),
-    (lambda: charfn_interference_given_r1(D2, math.nan, 1.0, 1.0, 1.0, 1.0), "epsilon"),
 ], ids=["tail_ci", "tail_ci_below_one", "tail_ci_closed", "tail_ci2",
-        "tail_ci2_eta_zero", "charfn_inv_ci", "g_integral", "conditional_tail_mean",
-        "conditional_tail_mean_epsilon", "charfn_interference", "charfn_interference_epsilon"])
+        "tail_ci2_eta_zero", "charfn_inv_ci", "g_integral"])
 def test_nan_ratio_or_radius_fails_fast(entry, name):
     with pytest.raises(ValueError, match=name):
         entry()
@@ -556,3 +501,23 @@ def test_bad_tol_fails_fast(entry, tol):
 def test_nan_grid_or_noise_fails_fast(entry, name):
     with pytest.raises(ValueError, match=name):
         entry()
+
+
+GOOD_GRIDS = {"epsilons": (3.0, 4.0), "nprimes": (0.1, 1.0), "etas": (0.5, 1.0)}
+
+
+@pytest.mark.parametrize("fault", ["repeated", "unsorted", "nan", "inf"])
+@pytest.mark.parametrize("name", list(GOOD_GRIDS))
+def test_malformed_grid_fails_before_any_cell(name, fault, monkeypatch):
+    lo, hi = GOOD_GRIDS[name]
+    bad = {"repeated": (lo, lo), "unsorted": (hi, lo),
+           "nan": (lo, math.nan), "inf": (lo, math.inf)}[fault]
+    grids = {**GOOD_GRIDS, name: bad}
+    with pytest.raises(ValueError, match=name):
+        LookupTable(2, *grids.values(), np.full((2, 2, 2), 0.5))
+    calls = []
+    monkeypatch.setattr(analytic, "tail_cin",
+                        lambda *args, **kwargs: calls.append(args) or 0.5)
+    with pytest.raises(ValueError, match=name):
+        build_lookup_table(2, *grids.values())
+    assert calls == []

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from scsnet import default_r_max, load_spec
+from scsnet import LookupTable, default_r_max, load_spec
 from scsnet.cli import main
 
 
@@ -174,6 +174,25 @@ class TestTableAndLookup:
         stored = [line for line in table.read_text().splitlines()[1:]
                   if line.startswith("2,4.0,0.1,1.0,")]
         assert float(out) == float(stored[0].split(",")[-1])
+
+    def test_repeated_grid_value_writes_nothing(self, capsys, tmp_path):
+        # a repeated eta would give a table that from_csv rejects
+        table = tmp_path / "table.csv"
+        code, _, err = run(capsys, "table", "--l", "2", "--epsilons", "4.0",
+                           "--nprimes", "0.1", "--etas", "1,1", "--out", table)
+        assert code == 1
+        assert "etas" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_nprime_range_table_reloads(self, capsys, tmp_path):
+        # the log-spaced grid is numpy floats, which must be written as plain reprs
+        table = tmp_path / "table.csv"
+        code, _, _ = run(capsys, "table", "--l", "2", "--epsilons", "4.0",
+                         "--nprime-range", "0.01", "1", "3", "--etas", "1.0",
+                         "--out", table)
+        assert code == 0
+        back = LookupTable.from_csv(table)
+        assert back.nprimes == pytest.approx((0.01, 0.1, 1.0), rel=1e-14)
 
     def test_out_of_hull_is_error(self, capsys, spec_path, tmp_path):
         table = tmp_path / "table.csv"
