@@ -47,7 +47,6 @@ from .numerics import (
 __all__ = [
     "LookupTable",
     "LookupRangeError",
-    "NumericDegeneracyError",
     "charfn_inv_ci",
     "charfn_inv_cin",
     "tail_ci",
@@ -58,15 +57,12 @@ __all__ = [
     "build_lookup_table",
     "default_table_grids",
     "lookup",
+    "table_threads",
 ]
 
 
 class LookupRangeError(ValueError):
     """A lookup query fell outside the table's grid hull (no extrapolation)."""
-
-
-class NumericDegeneracyError(ArithmeticError):
-    """A characteristic-function denominator lost all its magnitude."""
 
 
 # ---------------------------------------------------------------------------
@@ -82,10 +78,7 @@ def charfn_inv_ci(ratio: float, omega):
     """
     if not (ratio > 1.0):
         raise ValueError(f"ratio must exceed 1, got {ratio}")
-    denom = kummer_1f1_neg_a(1.0 / ratio, omega)
-    if np.any(np.abs(denom) < 1e-300):
-        raise NumericDegeneracyError("1F1 denominator magnitude below 1e-300")
-    return 1.0 / denom
+    return 1.0 / kummer_1f1_neg_a(1.0 / ratio, omega)
 
 
 # Relative panel layout for the rotated-ray integral, shared by every omega:
@@ -114,8 +107,10 @@ def charfn_inv_cin(canon: CanonicalSystem, omega):
     exponential factors decay inside the sector 0 < arg t < a*pi/2 (Re(tF) > 0
     there because arg F lies in (-a*pi/2, 0], and Re(i w (..)^(eps/l) t^(eps/l))
     <= 0 up to arg t = a*pi), so the contour is rotated to the ray
-    t = xi e^{i a pi/2} where the oscillation is tamed and the integrand
-    decays like exp(-xi |F|) times a noise-phase damping factor.
+    t = L u e^{i a pi/2}, u in [0, 1], L = 60 / Re(e^{i a pi/2} F).  Since
+    a * eps/l = 1, t^(eps/l) = i (L u)^(eps/l) there: the noise phase is the
+    real decay -c w L^(eps/l) u^(eps/l), c = N' (l/b_l)^(eps/l), and the
+    exponent is real outer products plus i times -L Im(e^{i a pi/2} F) u.
     """
     l, b = canon.dim.l, canon.dim.b
     a, rho = canon.a, canon.ratio
@@ -127,26 +122,24 @@ def charfn_inv_cin(canon: CanonicalSystem, omega):
     zero = w1 == 0.0
     out[zero] = 1.0
     wa = np.abs(w1[~zero])
-    if wa.size:
-        ray = complex(np.exp(1j * a * math.pi / 2))
-        vals = np.empty(wa.shape, dtype=complex)
-        # chunk the omega axis: each chunk builds an (n_w, n_t) node matrix
-        for lo in range(0, wa.size, 2048):
-            wc = wa[lo:lo + 2048]
-            F = np.atleast_1d(kummer_1f1_neg_a(a, wc))
-            lam = (ray * F).real
-            if np.any(lam <= 0):  # decay guard; unreachable for this family
-                raise NumericDegeneracyError("rotated-ray decay rate not positive")
-            L = _RAY_SPAN / lam
-            t = (L[:, None] * _RAY_U[None, :]) * ray
-            phase = -t * F[:, None]
-            phase += (1j * c) * wc[:, None] * t**rho
-            # weight in place and sum rows: `@` would hand this to BLAS threads
-            np.multiply(np.exp(phase, out=phase), _RAY_W, out=phase)
-            vals[lo:lo + 2048] = phase.sum(axis=1) * ray * L
-        neg = w1[~zero] < 0
-        vals[neg] = np.conj(vals[neg])
-        out[~zero] = vals
+    ray = complex(np.exp(1j * a * math.pi / 2))
+    u_rho = _RAY_U**rho
+    vals = np.empty(wa.shape, dtype=complex)
+    # chunk the omega axis: each chunk builds an (n_w, n_t) node matrix
+    for lo in range(0, wa.size, 2048):
+        wc = wa[lo:lo + 2048]
+        rF = ray * np.atleast_1d(kummer_1f1_neg_a(a, wc))
+        L = _RAY_SPAN / rF.real
+        phase = np.empty((wc.size, _RAY_U.size), dtype=complex)
+        np.multiply.outer(-c * wc * L**rho, u_rho, out=phase.real)
+        phase.real -= _RAY_SPAN * _RAY_U
+        np.multiply.outer(-L * rF.imag, _RAY_U, out=phase.imag)
+        # weight in place and sum rows: `@` would hand this to BLAS threads
+        np.multiply(np.exp(phase, out=phase), _RAY_W, out=phase)
+        vals[lo:lo + 2048] = phase.sum(axis=1) * ray * L
+    neg = w1[~zero] < 0
+    vals[neg] = np.conj(vals[neg])
+    out[~zero] = vals
     return out[0] if scalar else out
 
 
@@ -405,20 +398,29 @@ def default_table_grids(l: int = 2):
     return epsilons, nprimes, etas
 
 
+def table_threads() -> int:
+    """The threads build_lookup_table uses: SCS_THREADS, default 1; any
+    value but a positive integer raises ValueError naming SCS_THREADS."""
+    text = os.environ.get("SCS_THREADS", "1")
+    if not (text.strip().isdecimal() and int(text) > 0):
+        raise ValueError(f"SCS_THREADS must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_lookup_table(l: int, epsilon_grid: Sequence[float],
                        nprime_grid: Sequence[float], eta_grid: Sequence[float],
                        *, tol: float = 1e-5) -> LookupTable:
     """Tabulate tail_cin over the grid; cells are independent computations.
 
     The grids are checked as LookupTable checks them, before any cell is
-    computed.  The SCS_THREADS environment variable (default 1) sets the
-    thread pool the cells are spread over; results land by index, so the
-    output is identical for any schedule.
+    computed, and so is SCS_THREADS (table_threads), which sets the thread
+    pool the cells are spread over; results land by index, so the output is
+    identical for any schedule.
     """
     dim = Dimension(l)
     grids = _grids(l, epsilon_grid, nprime_grid, eta_grid)
     epsilons, nprimes, etas = grids.values()
-    threads = int(os.environ.get("SCS_THREADS", "1"))
+    threads = table_threads()
     values = np.empty((len(epsilons), len(nprimes), len(etas)))
 
     def cell(ij):

@@ -40,6 +40,7 @@ from .analytic import (
     build_lookup_table,
     default_table_grids,
     lookup,
+    table_threads,
     tail_ci,
     tail_ci2,
     tail_cin,
@@ -60,13 +61,14 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_path, command, args_dict, outputs, started):
+def _write_manifest(out_path, command, args_dict, outputs, started, **extra):
     manifest = {
         "command": command,
         "args": args_dict,
         "outputs": [str(p) for p in outputs],
         "tool_version": __version__,
         "wallclock_s": round(time.monotonic() - started, 3),
+        **extra,
     }
     path = Path(str(out_path) + ".manifest.json")
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
@@ -215,7 +217,7 @@ def cmd_table(args) -> int:
     table.to_csv(out)
     _write_manifest(out, "table", {"l": args.l, "epsilons": epsilons,
                                    "nprimes": nprimes, "etas": etas},
-                    [out], started)
+                    [out], started, threads=table_threads())
     print(f"wrote {out} ({len(epsilons)}x{len(nprimes)}x{len(etas)} cells)")
     return 0
 
@@ -238,7 +240,6 @@ def cmd_figures(args) -> int:
     started = time.monotonic()
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    outputs = []
     from .network import Dimension, NetworkSpec, Tier
 
     if args.which == "fig1":
@@ -256,24 +257,20 @@ def cmd_figures(args) -> int:
                     for eta, t, hw in zip(emp.etas, emp.tails, emp.halfwidths):
                         fh.write(f"{l},{eps!r},{lam!r},{eta!r},{t!r},{hw!r},"
                                  f"{args.n},{args.seed}\n")
-        outputs.append(out)
     elif args.which == "fig2":
         # exact C/I versus the strongest-two closed form, planar case
         out = outdir / "fig2_fewbs_comparison.csv"
         etas = [float(e) for e in np.geomspace(0.01, 100.0, 25)]
         _write_tails(out, [(eta, tail_ci(2.0, eta), "exact") for eta in etas]
                      + [(eta, tail_ci2(2.0, eta), "fewbs") for eta in etas])
-        outputs.append(out)
     elif args.which == "fig3":
         # noise lookup curves: P(C/(I+N') > 1) against N' for several epsilon
         out = outdir / "fig3_noise_curves.csv"
         nprimes = np.logspace(-4, 2, 13)
         build_lookup_table(2, (3.0, 4.0, 5.0), nprimes, (1.0,)).to_csv(out)
-        outputs.append(out)
-    for out in outputs:
-        _write_manifest(out, "figures", {"which": args.which, "n": args.n,
-                                         "seed": args.seed}, [out], started)
-        print(f"wrote {out}")
+    _write_manifest(out, "figures", {"which": args.which, "n": args.n,
+                                     "seed": args.seed}, [out], started)
+    print(f"wrote {out}")
     return 0
 
 

@@ -214,16 +214,21 @@ class TestTailCin:
         want = charfn_inv_ci(2.0, w)
         np.testing.assert_allclose(got, want, rtol=1e-9)
 
-    def test_charfn_against_real_axis_quadrature(self):
-        canon = CanonicalSystem(dim=D2, epsilon=4.0, nprime=0.1)
+    @pytest.mark.parametrize("nprime", [0.01, 10.0])
+    @pytest.mark.parametrize("l,eps", [(2, 3.0), (2, 4.0), (2, 5.0), (1, 1.5),
+                                       (3, 4.5)])
+    def test_charfn_against_real_axis_quadrature(self, l, eps, nprime):
+        # mostly non-integer eps/l: the ray's real noise exponent against
+        # the unrotated integral, whose t^(eps/l) is a real power
+        dim = Dimension(l)
+        canon = CanonicalSystem(dim=dim, epsilon=eps, nprime=nprime)
         from scsnet.numerics import kummer_1f1_neg_a
 
+        t = np.linspace(1e-10, 60.0, 400_000)
+        noise = nprime * (l * t / dim.b) ** (eps / l)
         for omega in (0.5, 2.0, 20.0):
-            f = kummer_1f1_neg_a(0.5, omega)
-            t = np.linspace(1e-10, 60.0, 400_000)
-            direct = np.trapezoid(
-                np.exp(-t * f + 1j * omega * 0.1 * (t / math.pi) ** 2), t
-            )
+            f = kummer_1f1_neg_a(l / eps, omega)
+            direct = np.trapezoid(np.exp(-t * f + 1j * omega * noise), t)
             got = charfn_inv_cin(canon, omega)
             assert abs(got - direct) < 1e-6
 
@@ -504,6 +509,20 @@ def test_nan_grid_or_noise_fails_fast(entry, name):
 
 
 GOOD_GRIDS = {"epsilons": (3.0, 4.0), "nprimes": (0.1, 1.0), "etas": (0.5, 1.0)}
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "abc"])
+def test_bad_thread_count_fails_before_any_cell(value, monkeypatch):
+    monkeypatch.setenv("SCS_THREADS", value)
+    with pytest.raises(ValueError, match="SCS_THREADS"):
+        analytic.table_threads()
+    calls = []
+    monkeypatch.setattr(analytic, "tail_cin",
+                        lambda *args, **kwargs: calls.append(args) or 0.5)
+    monkeypatch.setattr(analytic, "ThreadPoolExecutor", None)  # no pool either
+    with pytest.raises(ValueError, match="SCS_THREADS"):
+        build_lookup_table(2, *GOOD_GRIDS.values())
+    assert calls == []
 
 
 @pytest.mark.parametrize("fault", ["repeated", "unsorted", "nan", "inf"])

@@ -150,12 +150,16 @@ class TestTail:
 
 
 class TestTableAndLookup:
-    def test_round_trip_and_query(self, capsys, spec_path, tmp_path):
+    def test_round_trip_and_query(self, capsys, spec_path, tmp_path, monkeypatch):
+        monkeypatch.setenv("SCS_THREADS", "2")
         table = tmp_path / "table.csv"
         code, _, _ = run(capsys, "table", "--l", "2", "--epsilons", "4.0",
                          "--nprimes", "0.01,0.1", "--etas", "1.0",
                          "--out", table)
         assert code == 0
+        manifest = json.loads((tmp_path / "table.csv.manifest.json").read_text())
+        assert manifest["command"] == "table"
+        assert manifest["threads"] == 2
         # grid-point query: reduce(spec) gives N'=0.03125, inside the hull
         code, out, _ = run(capsys, "lookup", spec_path, "--table", table,
                            "--eta", "1.0", "--json")
@@ -182,6 +186,15 @@ class TestTableAndLookup:
                            "--nprimes", "0.1", "--etas", "1,1", "--out", table)
         assert code == 1
         assert "etas" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bad_thread_count_writes_nothing(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("SCS_THREADS", "abc")
+        table = tmp_path / "table.csv"
+        code, _, err = run(capsys, "table", "--l", "2", "--epsilons", "4.0",
+                           "--nprimes", "0.1", "--etas", "1.0", "--out", table)
+        assert code == 1
+        assert "SCS_THREADS" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_nprime_range_table_reloads(self, capsys, tmp_path):
