@@ -39,6 +39,7 @@ from scipy.integrate import quad
 from .network import CanonicalSystem, Dimension, NetworkSpec, canonicalize
 from .numerics import (
     InversionError,
+    check_ratio,
     g_integral,
     invert_tail,
     kummer_1f1_neg_a,
@@ -76,8 +77,7 @@ def charfn_inv_ci(ratio: float, omega):
     Depends on the system only through ratio = eps/l, which is why C/I is
     blind to density, power scale, and (after reduction) fading.
     """
-    if not (ratio > 1.0):
-        raise ValueError(f"ratio must exceed 1, got {ratio}")
+    check_ratio(ratio)
     return 1.0 / kummer_1f1_neg_a(1.0 / ratio, omega)
 
 
@@ -156,23 +156,13 @@ def _envelope_ci(a: float) -> Tuple[float, complex]:
 def tail_ci(ratio: float, eta: float, *, tol: float = 1e-6) -> float:
     """P(C/I > eta); depends on eps/l only.
 
-    eta = 0 returns 1 (the ratio is nonnegative).  On [1, inf) the answer is
-    the exact closed form tail_ci_closed and ``tol`` is unused.  Below 1 the
-    characteristic function is inverted to ``tol`` absolute (invert_tail,
-    with the exact envelope e^{i a pi/2} w^-a / Gamma(1-a)); the raw value is
-    clamped to [0, 1], an excursion within the error estimate.
+    C/I is C/(I+N') without noise, so this is tail_cin at N' = 0 on the
+    system with l = 1 and eps = ratio: 1 at eta = 0, the sinc law
+    tail_ci_closed on [1, inf), and below 1 charfn_inv_ci inverted to
+    ``tol`` absolute, clamped to [0, 1].
     """
-    if not (ratio > 1.0):
-        raise ValueError(f"ratio must exceed 1, got {ratio}")
-    if not (eta >= 0):
-        raise ValueError(f"eta must be >= 0, got {eta}")
-    if eta == 0:
-        return 1.0
-    if eta >= 1.0:
-        return tail_ci_closed(ratio, eta)
-    res = invert_tail(lambda w: charfn_inv_ci(ratio, w), eta, tol=tol,
-                      envelope=_envelope_ci(1.0 / ratio))
-    return min(1.0, max(0.0, res.value))
+    check_ratio(ratio)
+    return tail_cin(CanonicalSystem(Dimension(1), ratio, 0.0), eta, tol=tol)
 
 
 def tail_ci_closed(ratio: float, eta: float) -> float:
@@ -184,8 +174,7 @@ def tail_ci_closed(ratio: float, eta: float) -> float:
     is positive stable: E[e^-sI] = exp(-(b/l) Gamma(1-a) s^a).  Hence
     E[I^-a] = 1 / ((b/l) Gamma(1-a) Gamma(1+a)) and the sinc constant.
     """
-    if not (ratio > 1.0):
-        raise ValueError(f"ratio must exceed 1, got {ratio}")
+    check_ratio(ratio)
     if not (eta >= 1.0):
         raise ValueError(f"the closed form holds only on [1, inf), got eta={eta}")
     pa = math.pi / ratio
@@ -198,8 +187,11 @@ def _noise_damping(canon: CanonicalSystem):
     k = (b/l) Gamma(1-a).  The integrand is positive and monotone, without
     oscillation; its width is about s = 1 / (1 + c^(l/eps)), and v = s x puts
     it on a unit scale for any noise level, where quad on [0, inf) would
-    otherwise miss the narrow peak of a very noisy system.
+    otherwise miss the narrow peak of a very noisy system.  Without noise
+    the integral is 1 exactly, and no quadrature runs.
     """
+    if canon.nprime == 0.0:
+        return 1.0, 0.0, 0
     rho = canon.ratio
     k = canon.dim.b / canon.dim.l * math.gamma(1.0 - canon.a)
     c_root = canon.nprime ** (1.0 / rho) / k  # c^(l/eps)
@@ -254,8 +246,7 @@ def tail_ci2(ratio: float, eta: float) -> float:
     with u = (ratio-1)(1/eta - 1), C = G(0), D(eta) = G(u(eta)); u(1) = 0,
     so D(1) = C: continuous at eta = 1 and approaching 1 as eta -> 0.
     """
-    if not (ratio > 1.0):
-        raise ValueError(f"ratio must exceed 1, got {ratio}")
+    check_ratio(ratio)
     if not (eta >= 0):
         raise ValueError(f"eta must be >= 0, got {eta}")
     if eta == 0:
@@ -278,12 +269,13 @@ def _cin_char_scale(canon: CanonicalSystem) -> float:
 
 
 def tail_cin(canon: CanonicalSystem, eta: float, *, tol: float = 1e-5) -> float:
-    """P(C/(I+N') > eta) for the canonical system.
+    """P(C/(I+N') > eta) for the canonical system; at N' = 0 this is C/I.
 
-    eta = 0 returns 1, and N' = 0 is tail_ci at the same ratio.  On
-    [1, inf) the answer is the exact tail_cin_closed.  Below 1 the
-    reciprocal ratio's charfn (charfn_inv_cin) is inverted.  Substituting
-    t = tau w^-a in its integral and rotating tau = u e^{i a pi/2} gives the
+    The one place a tail's route is chosen, for tail_ci too.  eta = 0
+    returns 1.  On [1, inf) the answer is the exact tail_cin_closed, the
+    sinc law at N' = 0.  Below 1 the reciprocal ratio's charfn is inverted:
+    charfn_inv_ci at N' = 0, else charfn_inv_cin.  Substituting t = tau w^-a
+    in the latter's integral and rotating tau = u e^{i a pi/2} gives the
     exact envelope A_N w^-a, A_N = A * _noise_damping with A the C/I
     coefficient.  Noise damps it, and the next term likewise, so
     invert_tail's remainder bound holds.  ``tol`` is the absolute accuracy
@@ -293,14 +285,19 @@ def tail_cin(canon: CanonicalSystem, eta: float, *, tol: float = 1e-5) -> float:
         raise ValueError(f"eta must be >= 0, got {eta}")
     if eta == 0:
         return 1.0
-    if canon.nprime == 0.0:
-        return tail_ci(canon.ratio, eta, tol=tol)
     if eta >= 1.0:
         return tail_cin_closed(canon, eta, tol=tol)
-    a, A = _envelope_ci(canon.a)
-    res = invert_tail(lambda w: charfn_inv_cin(canon, w), eta, tol=tol,
-                      envelope=(a, A * _noise_damping(canon)[0]),
-                      char_scale=_cin_char_scale(canon))
+    if canon.nprime == 0.0:
+        # C/I: charfn_inv_ci's exponent is 1/ratio, and _cin_char_scale's
+        # Gamma(eps/l + 1) would overflow past eps/l ~ 171
+        a, char_scale = 1.0 / canon.ratio, 1.0
+        charfn = functools.partial(charfn_inv_ci, canon.ratio)
+    else:
+        a, char_scale = canon.a, _cin_char_scale(canon)
+        charfn = functools.partial(charfn_inv_cin, canon)
+    a, A = _envelope_ci(a)
+    res = invert_tail(charfn, eta, tol=tol, char_scale=char_scale,
+                      envelope=(a, A * _noise_damping(canon)[0]))
     return min(1.0, max(0.0, res.value))
 
 
@@ -408,34 +405,30 @@ def table_threads() -> int:
 
 
 def build_lookup_table(l: int, epsilon_grid: Sequence[float],
-                       nprime_grid: Sequence[float], eta_grid: Sequence[float],
-                       *, tol: float = 1e-5) -> LookupTable:
-    """Tabulate tail_cin over the grid; cells are independent computations.
+                       nprime_grid: Sequence[float],
+                       eta_grid: Sequence[float]) -> LookupTable:
+    """Tabulate tail_cin, at its default tol, over the grid.
 
     The grids are checked as LookupTable checks them, before any cell is
-    computed, and so is SCS_THREADS (table_threads), which sets the thread
-    pool the cells are spread over; results land by index, so the output is
-    identical for any schedule.
+    computed, and so is SCS_THREADS (table_threads): the (epsilon, N') rows
+    are independent and always run on a pool of that many threads, 1 by
+    default.  Results land by index, so the output is identical for any
+    thread count.
     """
     dim = Dimension(l)
     grids = _grids(l, epsilon_grid, nprime_grid, eta_grid)
     epsilons, nprimes, etas = grids.values()
-    threads = table_threads()
     values = np.empty((len(epsilons), len(nprimes), len(etas)))
 
     def cell(ij):
         i, j = ij
         canon = CanonicalSystem(dim=dim, epsilon=epsilons[i], nprime=nprimes[j])
-        return [tail_cin(canon, eta, tol=tol) for eta in etas]
+        return [tail_cin(canon, eta) for eta in etas]
 
     pairs = [(i, j) for i in range(len(epsilons)) for j in range(len(nprimes))]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for (i, j), row in zip(pairs, pool.map(cell, pairs)):
-                values[i, j, :] = row
-    else:
-        for i, j in pairs:
-            values[i, j, :] = cell((i, j))
+    with ThreadPoolExecutor(max_workers=table_threads()) as pool:
+        for (i, j), row in zip(pairs, pool.map(cell, pairs)):
+            values[i, j, :] = row
     return LookupTable(l=l, values=values, **grids)
 
 

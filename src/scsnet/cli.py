@@ -26,6 +26,8 @@ and --noise-dbm conveniences convert at this boundary only.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -46,7 +48,8 @@ from .analytic import (
     tail_cin,
 )
 from .montecarlo import empirical_tail_ci, empirical_tail_cin
-from .network import SpecError, canonicalize, load_spec, reduce_network
+from .network import (Dimension, LogNormalFading, NetworkSpec, SpecError, Tier,
+                      canonicalize, load_spec, reduce_network, sigma_db_to_natural)
 
 
 class UsageError(Exception):
@@ -102,22 +105,21 @@ def _dbm_to_linear(dbm: float) -> float:
 
 def _load_spec_with_overrides(args):
     """Load the spec and apply the dB convenience flags at the boundary."""
-    import dataclasses
-
-    from .network import LogNormalFading, sigma_db_to_natural
-
     spec = load_spec(args.spec)
-    if getattr(args, "sigma_db", None) is not None:
+    if args.sigma_db is not None:
         spec = dataclasses.replace(
             spec, fading=LogNormalFading(sigma_db_to_natural(args.sigma_db))
         )
-    if getattr(args, "noise_dbm", None) is not None:
+    if args.noise_dbm is not None:
         spec = dataclasses.replace(spec, noise=_dbm_to_linear(args.noise_dbm))
-    if getattr(args, "power_dbm", None) is not None:
+    if args.power_dbm is not None:
         if len(spec.tiers) != 1:
             raise UsageError("--power-dbm applies only to single-tier specs")
-        tier = dataclasses.replace(spec.tiers[0],
-                                   power=_dbm_to_linear(args.power_dbm))
+        (tier,) = spec.tiers
+        if tier.sector is not None:
+            raise UsageError("--power-dbm does not apply to a sectored tier, heard at "
+                             f"its sector gain ({tier.sector.gain!r}); set sector.gain")
+        tier = dataclasses.replace(tier, power=_dbm_to_linear(args.power_dbm))
         spec = dataclasses.replace(spec, tiers=(tier,))
     return spec
 
@@ -167,36 +169,35 @@ def cmd_tail(args) -> int:
             f"valid pairs: {valid}"
         )
     canon = canonicalize(spec)
-    if args.method == "exact":
-        rows = [(eta, tail_ci(canon.ratio, eta) if args.metric == "ci"
-                 else tail_cin(canon, eta)) for eta in etas]
-    elif args.method == "fewbs":
-        rows = [(eta, tail_ci2(canon.ratio, eta)) for eta in etas]
-    elif args.method == "lookup":
-        if not args.table:
-            raise UsageError("--method lookup requires --table FILE")
-        table = LookupTable.from_csv(args.table)
-        rows = [(eta, lookup(table, spec, eta)) for eta in etas]
-    elif args.method == "mc":
+    record, notes = {}, []  # method-specific manifest args and summary
+    if args.method == "mc":
         fn = empirical_tail_ci if args.metric == "ci" else empirical_tail_cin
         emp = fn(spec, etas, args.n, args.seed)
-        out = Path(args.out)
-        emp.to_csv(out)
         stats = {"rejections": emp.n_rejected, "r_max": emp.r_max,
                  "stations_per_row": emp.stations_per_row}
-        _write_manifest(out, "tail", {**_spec_args(args), "metric": args.metric,
-                                      "method": args.method, "etas": etas,
-                                      "n": args.n, "seed": args.seed, **stats},
-                        [out], started)
-        print(f"wrote {out} ({len(etas)} points, n={args.n}, "
-              + ", ".join(f"{k}={v:.6g}" for k, v in stats.items()) + ")")
-        return 0
+        record = {"n": args.n, "seed": args.seed, **stats}
+        notes = [f"n={args.n}"] + [f"{k}={v:.6g}" for k, v in stats.items()]
+        write = emp.to_csv
+    else:
+        if args.method == "exact" and args.metric == "ci":
+            tails = [tail_ci(canon.ratio, eta) for eta in etas]
+        elif args.method == "exact":
+            tails = [tail_cin(canon, eta) for eta in etas]
+        elif args.method == "fewbs":
+            tails = [tail_ci2(canon.ratio, eta) for eta in etas]
+        else:
+            if not args.table:
+                raise UsageError("--method lookup requires --table FILE")
+            table = LookupTable.from_csv(args.table)
+            tails = [lookup(table, spec, eta) for eta in etas]
+        write = functools.partial(_write_tails, rows=[
+            (eta, p, args.method) for eta, p in zip(etas, tails)])
     out = Path(args.out)
-    _write_tails(out, [(eta, p, args.method) for eta, p in rows])
+    write(out)
     _write_manifest(out, "tail", {**_spec_args(args), "metric": args.metric,
-                                  "method": args.method, "etas": etas},
+                                  "method": args.method, "etas": etas, **record},
                     [out], started)
-    print(f"wrote {out} ({len(rows)} points)")
+    print(f"wrote {out} ({', '.join([f'{len(etas)} points'] + notes)})")
     return 0
 
 
@@ -240,8 +241,6 @@ def cmd_figures(args) -> int:
     started = time.monotonic()
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    from .network import Dimension, NetworkSpec, Tier
-
     if args.which == "fig1":
         # density invariance: per dimension, the C/I tail curves for widely
         # different densities lie on top of each other
@@ -287,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--noise-dbm", type=float, default=None,
                         help="override the noise power, given in dBm")
         sp.add_argument("--power-dbm", type=float, default=None,
-                        help="override a single tier's power, given in dBm")
+                        help="override a single unsectored tier's power, in dBm")
 
     pr = sub.add_parser("reduce", help="print the canonical reduction of a spec")
     pr.add_argument("spec", type=Path)

@@ -149,6 +149,12 @@ def kummer_1f1_neg_a(a: float, omega):
 # G integral
 # ---------------------------------------------------------------------------
 
+def check_ratio(ratio: float) -> None:
+    """Raise ValueError naming ``ratio`` unless 1 < ratio = eps/l < inf."""
+    if not (1.0 < ratio < math.inf):
+        raise ValueError(f"ratio must lie in (1, inf), got {ratio}")
+
+
 # (1 + T) e^-T < 1e-12 decays below the requested remainder for T >= 33, and
 # the integrand is bounded by v e^-v, so a fixed cutoff length suffices.
 _G_CUTOFF = 33.0
@@ -162,8 +168,7 @@ def g_integral(lower: float, ratio: float) -> float:
     accuracy ~1e-10.  Monotone decreasing in ``lower`` and increasing in
     ``ratio`` (towards 1, the ratio -> inf limit of Gamma(2)).
     """
-    if not (ratio > 1.0):
-        raise ValueError(f"ratio must exceed 1, got {ratio}")
+    check_ratio(ratio)
     if not (lower >= 0):
         raise ValueError(f"lower must be >= 0, got {lower}")
     inv = 1.0 / (ratio - 1.0)

@@ -186,10 +186,17 @@ class TestFewBs:
 
 
 class TestTailCin:
-    def test_zero_noise_reduces_to_ci(self):
-        canon = CanonicalSystem(dim=D2, epsilon=4.0, nprime=0.0)
-        for eta in (0.5, 1.0, 2.0):
-            assert tail_cin(canon, eta) == tail_ci(2.0, eta, tol=1e-5)
+    @pytest.mark.parametrize("eta", [0.1, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("l,eps", [(1, 1.5), (2, 4.0), (3, 4.2)])
+    def test_zero_noise_reduces_to_ci(self, l, eps, eta):
+        # 3/4.2 != 1/(4.2/3) in floats: C/I's envelope exponent is 1/ratio
+        canon = CanonicalSystem(dim=Dimension(l), epsilon=eps, nprime=0.0)
+        assert tail_cin(canon, eta) == tail_ci(canon.ratio, eta, tol=1e-5)
+
+    @pytest.mark.parametrize("eta", [0.5, 2.0])
+    def test_ci_at_large_ratio_answers(self, eta):
+        # Gamma(ratio + 1), the noise scale of C/(I+N'), overflows here
+        assert tail_ci_closed(200.0, 2.0) <= tail_ci(200.0, eta) <= 1.0
 
     def test_eta_zero(self):
         canon = CanonicalSystem(dim=D2, epsilon=4.0, nprime=0.3)
@@ -305,9 +312,7 @@ class TestCinClosed:
     def test_noiseless_is_sinc_law(self):
         canon = CanonicalSystem(dim=Dimension(3), epsilon=7.5, nprime=0.0)
         for eta in (1.0, 3.0):
-            assert tail_cin_closed(canon, eta) == pytest.approx(
-                tail_ci_closed(2.5, eta), rel=1e-12
-            )
+            assert tail_cin_closed(canon, eta) == tail_ci_closed(2.5, eta)
 
     def test_very_noisy_system_keeps_its_peak(self):
         # at N' = 1e10 the integrand is a narrow peak at 0 that quad on
@@ -465,8 +470,16 @@ def test_negative_threshold_fails_fast_in_mc():
     (lambda: tail_ci2(0.5, 0.0), "ratio"),
     (lambda: charfn_inv_ci(math.nan, 1.0), "ratio"),
     (lambda: g_integral(0.0, math.nan), "ratio"),
+    (lambda: tail_ci(math.inf, 2.0), "ratio"),
+    (lambda: tail_ci(math.inf, 0.5), "ratio"),
+    (lambda: tail_ci_closed(math.inf, 2.0), "ratio"),
+    (lambda: tail_ci2(math.inf, 2.0), "ratio"),
+    (lambda: charfn_inv_ci(math.inf, 1.0), "ratio"),
+    (lambda: g_integral(0.0, math.inf), "ratio"),
 ], ids=["tail_ci", "tail_ci_below_one", "tail_ci_closed", "tail_ci2",
-        "tail_ci2_eta_zero", "charfn_inv_ci", "g_integral"])
+        "tail_ci2_eta_zero", "charfn_inv_ci", "g_integral", "tail_ci_inf",
+        "tail_ci_below_one_inf", "tail_ci_closed_inf", "tail_ci2_inf",
+        "charfn_inv_ci_inf", "g_integral_inf"])
 def test_nan_ratio_or_radius_fails_fast(entry, name):
     with pytest.raises(ValueError, match=name):
         entry()
@@ -475,13 +488,14 @@ def test_nan_ratio_or_radius_fails_fast(entry, name):
 @pytest.mark.parametrize("tol", [math.nan, 0.0])
 @pytest.mark.parametrize("entry", [
     lambda tol: tail_ci(2.0, 0.5, tol=tol),
+    lambda tol: tail_ci(2.0, 2.0, tol=tol),
     lambda tol: tail_cin(NOISY, 0.5, tol=tol),
     lambda tol: tail_cin(NOISY, 2.0, tol=tol),
     lambda tol: tail_cin_closed(NOISY, 2.0, tol=tol),
     lambda tol: invert_tail(lambda w: charfn_inv_ci(2.0, w), 0.5,
                             envelope=_envelope_ci(0.5), tol=tol),
-], ids=["tail_ci", "tail_cin", "tail_cin_above_one", "tail_cin_closed",
-        "invert_tail"])
+], ids=["tail_ci", "tail_ci_above_one", "tail_cin", "tail_cin_above_one",
+        "tail_cin_closed", "invert_tail"])
 def test_bad_tol_fails_fast(entry, tol):
     with pytest.raises(ValueError, match="tol"):
         entry(tol)

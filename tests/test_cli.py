@@ -97,6 +97,23 @@ class TestReduce:
         # 0 dBm = 1e-3 linear; lambda_eff = 2*sqrt(4) = 4, N' = N / 16
         assert json.loads(out)["nprime"] == pytest.approx(1e-3 / 16.0)
 
+    @pytest.mark.parametrize("command", ["reduce", "tail"])
+    def test_power_dbm_refused_on_sectored_tier(self, capsys, tmp_path, command):
+        # a sectored tier is heard at its sector gain, so its power is unused
+        path = tmp_path / "sectored.json"
+        path.write_text(json.dumps({
+            "dimension": 2, "epsilon": 4.0, "noise": 1.0e-9,
+            "tiers": [{"density": 1.0, "power": 10.0,
+                       "sector": {"gain": 20.0, "beamwidth_deg": 120.0}}],
+        }))
+        extra = (["--json"] if command == "reduce" else
+                 ["--metric", "ci", "--method", "exact", "--etas", "1",
+                  "--out", tmp_path / "tail.csv"])
+        code, out, err = run(capsys, command, path, *extra, "--power-dbm", "60")
+        assert code == 2 and out == ""
+        assert "sector gain" in err and "--power-dbm" in err
+        assert list(tmp_path.iterdir()) == [path]
+
 
 class TestTail:
     def test_invalid_pair_lists_valid_ones(self, capsys, spec_path, tmp_path):
