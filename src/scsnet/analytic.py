@@ -148,11 +148,6 @@ def charfn_inv_cin(canon: CanonicalSystem, omega):
 # ---------------------------------------------------------------------------
 
 
-def _envelope_ci(a: float) -> Tuple[float, complex]:
-    # Exact leading envelope of 1/1F1: phi(w) ~ w^-a e^{i a pi/2} / Gamma(1-a).
-    return a, complex(np.exp(1j * a * math.pi / 2)) / math.gamma(1.0 - a)
-
-
 def tail_ci(ratio: float, eta: float, *, tol: float = 1e-6) -> float:
     """P(C/I > eta); depends on eps/l only.
 
@@ -188,7 +183,8 @@ def _noise_damping(canon: CanonicalSystem):
     oscillation; its width is about s = 1 / (1 + c^(l/eps)), and v = s x puts
     it on a unit scale for any noise level, where quad on [0, inf) would
     otherwise miss the narrow peak of a very noisy system.  Without noise
-    the integral is 1 exactly, and no quadrature runs.
+    the integral is 1 exactly, and no quadrature runs; with noise it is
+    below 1, so quad's rounding above 1 at tiny N' is clamped.
     """
     if canon.nprime == 0.0:
         return 1.0, 0.0, 0
@@ -200,7 +196,7 @@ def _noise_damping(canon: CanonicalSystem):
     val, err, info = quad(lambda x: math.exp(-s * x - q * x**rho), 0.0, math.inf,
                           epsabs=1e-14, epsrel=1e-12, limit=200,
                           full_output=1)[:3]
-    return s * val, s * err, info["neval"]
+    return min(1.0, s * val), s * err, info["neval"]
 
 
 def tail_cin_closed(canon: CanonicalSystem, eta: float, *, tol: float = 1e-5) -> float:
@@ -276,10 +272,11 @@ def tail_cin(canon: CanonicalSystem, eta: float, *, tol: float = 1e-5) -> float:
     sinc law at N' = 0.  Below 1 the reciprocal ratio's charfn is inverted:
     charfn_inv_ci at N' = 0, else charfn_inv_cin.  Substituting t = tau w^-a
     in the latter's integral and rotating tau = u e^{i a pi/2} gives the
-    exact envelope A_N w^-a, A_N = A * _noise_damping with A the C/I
-    coefficient.  Noise damps it, and the next term likewise, so
-    invert_tail's remainder bound holds.  ``tol`` is the absolute accuracy
-    of whichever quadrature runs; the inverted value is clamped to [0, 1].
+    exact envelope A_N w^-a: the C/I coefficient, which invert_tail
+    derives from a, damped by _noise_damping.  Noise damps the next term
+    likewise, so invert_tail's remainder bound holds.  ``tol`` is the
+    absolute accuracy of whichever quadrature runs; the inverted value is
+    clamped to [0, 1].
     """
     if not (eta >= 0):
         raise ValueError(f"eta must be >= 0, got {eta}")
@@ -295,9 +292,8 @@ def tail_cin(canon: CanonicalSystem, eta: float, *, tol: float = 1e-5) -> float:
     else:
         a, char_scale = canon.a, _cin_char_scale(canon)
         charfn = functools.partial(charfn_inv_cin, canon)
-    a, A = _envelope_ci(a)
-    res = invert_tail(charfn, eta, tol=tol, char_scale=char_scale,
-                      envelope=(a, A * _noise_damping(canon)[0]))
+    res = invert_tail(charfn, eta, p=a, damping=_noise_damping(canon)[0],
+                      tol=tol, char_scale=char_scale)
     return min(1.0, max(0.0, res.value))
 
 

@@ -4,7 +4,7 @@ Subcommands
 -----------
 scs reduce SPEC.json [--json]
     Print the canonical reduction (lambda_eff, moments, N').
-scs tail SPEC.json --metric {ci,cin} --method {exact,fewbs,mc,lookup} ...
+scs tail SPEC.json --metric {ci,cin} --method {exact,fewbs,mc} ...
     Evaluate a tail curve and write it as CSV.
 scs table --l L --epsilons ... --nprimes ... --etas ... --out FILE
     Tabulate C/(I+N') tails over a grid.
@@ -64,11 +64,11 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_path, command, args_dict, outputs, started, **extra):
+def _write_manifest(out_path, command, args_dict, started, **extra):
     manifest = {
         "command": command,
         "args": args_dict,
-        "outputs": [str(p) for p in outputs],
+        "outputs": [str(out_path)],
         "tool_version": __version__,
         "wallclock_s": round(time.monotonic() - started, 3),
         **extra,
@@ -151,7 +151,7 @@ def cmd_reduce(args) -> int:
 
 _VALID_PAIRS = {
     ("ci", "exact"), ("ci", "fewbs"), ("ci", "mc"),
-    ("cin", "exact"), ("cin", "mc"), ("cin", "lookup"),
+    ("cin", "exact"), ("cin", "mc"),
 }
 
 
@@ -183,20 +183,15 @@ def cmd_tail(args) -> int:
             tails = [tail_ci(canon.ratio, eta) for eta in etas]
         elif args.method == "exact":
             tails = [tail_cin(canon, eta) for eta in etas]
-        elif args.method == "fewbs":
-            tails = [tail_ci2(canon.ratio, eta) for eta in etas]
         else:
-            if not args.table:
-                raise UsageError("--method lookup requires --table FILE")
-            table = LookupTable.from_csv(args.table)
-            tails = [lookup(table, spec, eta) for eta in etas]
+            tails = [tail_ci2(canon.ratio, eta) for eta in etas]
         write = functools.partial(_write_tails, rows=[
             (eta, p, args.method) for eta, p in zip(etas, tails)])
     out = Path(args.out)
     write(out)
     _write_manifest(out, "tail", {**_spec_args(args), "metric": args.metric,
                                   "method": args.method, "etas": etas, **record},
-                    [out], started)
+                    started)
     print(f"wrote {out} ({', '.join([f'{len(etas)} points'] + notes)})")
     return 0
 
@@ -218,7 +213,7 @@ def cmd_table(args) -> int:
     table.to_csv(out)
     _write_manifest(out, "table", {"l": args.l, "epsilons": epsilons,
                                    "nprimes": nprimes, "etas": etas},
-                    [out], started, threads=table_threads())
+                    started, threads=table_threads())
     print(f"wrote {out} ({len(epsilons)}x{len(nprimes)}x{len(etas)} cells)")
     return 0
 
@@ -268,7 +263,7 @@ def cmd_figures(args) -> int:
         nprimes = np.logspace(-4, 2, 13)
         build_lookup_table(2, (3.0, 4.0, 5.0), nprimes, (1.0,)).to_csv(out)
     _write_manifest(out, "figures", {"which": args.which, "n": args.n,
-                                     "seed": args.seed}, [out], started)
+                                     "seed": args.seed}, started)
     print(f"wrote {out}")
     return 0
 
@@ -297,15 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
     pt = sub.add_parser("tail", help="evaluate a tail curve to CSV")
     pt.add_argument("spec", type=Path)
     pt.add_argument("--metric", choices=("ci", "cin"), required=True)
-    pt.add_argument("--method",
-                    choices=("exact", "fewbs", "mc", "lookup"),
-                    required=True)
+    pt.add_argument("--method", choices=("exact", "fewbs", "mc"), required=True)
     pt.add_argument("--etas", required=True,
                     help="comma-separated thresholds, ascending")
     pt.add_argument("--n", type=int, default=100_000,
                     help="realizations for --method mc")
     pt.add_argument("--seed", type=int, default=0)
-    pt.add_argument("--table", type=Path, help="table CSV for --method lookup")
     pt.add_argument("--out", type=Path, default=Path("tail.csv"))
     add_db_flags(pt)
     pt.set_defaults(fn=cmd_tail)

@@ -75,7 +75,7 @@ class EmpiricalTail:
     seed: int
     method: str
     n_rejected: int = 0
-    r_max: Optional[float] = None  # truncation radius; None for the k-nearest draw
+    r_max: Optional[float] = None  # truncation radius; None for strongest-two
     stations_per_row: Optional[float] = None  # expected heard stations within r_max
 
     def to_csv(self, path) -> None:
@@ -93,8 +93,8 @@ class EmpiricalTail:
 def _far_field_mean(spec: NetworkSpec, r_max: float) -> float:
     """Expected interference from beyond r_max: the heard power density
     sum_i lambda'_i P_i E[Psi] integrated outward against r^-eps.  The field
-    beyond the k-th nearest station is fresh, so at r_max = its distance (an
-    array works) this is also the strongest-few mean beyond station k."""
+    beyond the second-nearest station is fresh, so at r_max = its distance
+    (an array works) this is also the strongest-two mean beyond it."""
     if isinstance(spec.fading, MomentFading):
         raise UnsupportedSettingError(
             "moment-only fading cannot be sampled; use the analytic path"
@@ -220,12 +220,12 @@ def default_r_max(spec: NetworkSpec, *, seed: int = 0) -> float:
 def _require_fewbs_setting(spec: NetworkSpec):
     if len(spec.tiers) != 1 or spec.tiers[0].sector is not None:
         raise UnsupportedSettingError(
-            "the strongest-few approximation is derived for a single"
+            "the strongest-two approximation is derived for a single"
             " unsectored tier with constant power"
         )
     if not isinstance(spec.fading, NoFading):
         raise UnsupportedSettingError(
-            "the strongest-few approximation is derived without fading"
+            "the strongest-two approximation is derived without fading"
         )
     if spec.tiers[0].power <= 0:
         raise UnsupportedSettingError("tier power must be positive")
@@ -285,8 +285,8 @@ def empirical_tail_cin(spec: NetworkSpec, etas: Sequence[float], n: int,
                       _field_ratios(spec, n, seed, r_max, spec.noise))
 
 
-def _fewbs_ratios(spec: NetworkSpec, n: int, seed: int, k: int):
-    """C/I_k block by block: the k nearest stations drawn exactly."""
+def _fewbs_ratios(spec: NetworkSpec, n: int, seed: int):
+    """C/I_2 block by block: the two nearest stations drawn exactly."""
     l, b, eps = spec.dim.l, spec.dim.b, spec.epsilon
     lam = spec.tiers[0].density
     kpow = spec.tiers[0].power
@@ -294,25 +294,20 @@ def _fewbs_ratios(spec: NetworkSpec, n: int, seed: int, k: int):
     for blk in range(n_blocks):
         rows = min(BLOCK_SIZE, n - blk * BLOCK_SIZE)
         rng = substream(seed, blk)
-        t = rng.exponential(size=(rows, k)).cumsum(axis=1)
+        t = rng.exponential(size=(rows, 2)).cumsum(axis=1)
         radii = (l * t / (lam * b)) ** (1.0 / l)
-        p_s = kpow * radii[:, 0] ** (-eps)
-        exact = (kpow * radii[:, 1:k] ** (-eps)).sum(axis=1) if k >= 2 else 0.0
-        mean_rest = _far_field_mean(spec, radii[:, k - 1])
-        yield p_s / (exact + mean_rest), 0, None, None
+        p_s, p_2 = (kpow * radii**-eps).T
+        yield p_s / (p_2 + _far_field_mean(spec, radii[:, 1])), 0, None, None
 
 
 def empirical_tail_fewbs(spec: NetworkSpec, etas: Sequence[float], n: int,
-                         seed: int, k: int = 2) -> EmpiricalTail:
-    """Empirical tail of the strongest-few approximation C/I_k.
+                         seed: int) -> EmpiricalTail:
+    """Empirical tail of the strongest-two approximation C/I_2 (tail_ci2).
 
-    Per realization the k nearest stations are sampled exactly (no field
-    truncation is needed) and interference is the exact sum of stations
-    2..k plus the conditional mean beyond station k.  Only the constant
-    power, unfaded single-tier setting is supported; k defaults to the one
-    value with a closed-form counterpart.
+    Per realization the two nearest stations are sampled exactly (no field
+    truncation is needed) and interference is the second station plus the
+    conditional mean beyond it.  Only the constant power, unfaded
+    single-tier setting is supported.
     """
     _require_fewbs_setting(spec)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return _empirical(etas, n, seed, f"mc-fewbs{k}", _fewbs_ratios(spec, n, seed, k))
+    return _empirical(etas, n, seed, "mc-fewbs2", _fewbs_ratios(spec, n, seed))

@@ -325,49 +325,52 @@ def as_network_spec(canon: CanonicalSystem) -> NetworkSpec:
 # ---------------------------------------------------------------------------
 
 
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise SpecError(f"{name} must be an object, got {value!r}")
+    return value
+
+
+def _number(obj: dict, key: str, where: str = "", default=None) -> float:
+    """obj[key] as a float; a missing key without a default, or a value that
+    is not a JSON number, raises SpecError naming the field."""
+    value = obj.get(key, default)
+    if value is None and key not in obj:
+        raise SpecError(f"{where}{key} is required")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SpecError(f"{where}{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _parse_fading(obj) -> Fading:
     if obj is None:
         return NoFading()
-    kind = obj.get("type")
+    kind = _object(obj, "fading").get("type")
     if kind == "none":
         return NoFading()
     if kind == "lognormal":
-        if "sigma_db" in obj and "sigma" in obj:
-            raise SpecError("fading: give sigma_db or sigma, not both")
-        if "sigma_db" in obj:
-            return LogNormalFading(sigma_db_to_natural(float(obj["sigma_db"])))
-        if "sigma" in obj:
-            return LogNormalFading(float(obj["sigma"]))
-        raise SpecError("fading: lognormal requires sigma_db (or sigma)")
+        return LogNormalFading(sigma_db_to_natural(_number(obj, "sigma_db", "fading.")))
     if kind == "moment":
-        if "value" not in obj:
-            raise SpecError("fading: moment requires value")
-        return MomentFading(float(obj["value"]))
+        return MomentFading(_number(obj, "value", "fading."))
     raise SpecError(f"fading.type must be none, lognormal or moment, got {kind!r}")
 
 
 def _parse_tier(obj, idx: int) -> Tier:
-    try:
-        density = float(obj["density"])
-    except KeyError:
-        raise SpecError(f"tiers[{idx}]: density is required") from None
-    try:
-        power = float(obj["power"])
-    except KeyError:
-        raise SpecError(f"tiers[{idx}]: power is required") from None
+    where = f"tiers[{idx}]"
+    obj = _object(obj, where)
+    density = _number(obj, "density", f"{where}.")
+    power = _number(obj, "power", f"{where}.")
     sector = None
     if obj.get("sector") is not None:
-        s = obj["sector"]
-        if "gain" not in s or "beamwidth_deg" not in s:
-            raise SpecError(f"tiers[{idx}].sector: gain and beamwidth_deg required")
+        s = _object(obj["sector"], f"{where}.sector")
         sector = Sector(
-            gain=float(s["gain"]),
-            beamwidth=math.radians(float(s["beamwidth_deg"])),
+            gain=_number(s, "gain", f"{where}.sector."),
+            beamwidth=math.radians(_number(s, "beamwidth_deg", f"{where}.sector.")),
         )
     try:
         return Tier(density=density, power=power, sector=sector)
     except SpecError as e:
-        raise SpecError(f"tiers[{idx}]: {e}") from None
+        raise SpecError(f"{where}: {e}") from None
 
 
 def spec_from_json(obj: dict) -> NetworkSpec:
@@ -379,22 +382,24 @@ def spec_from_json(obj: dict) -> NetworkSpec:
              "tiers": [{"density": 1.0, "power": 10.0,
                         "sector": {"gain": 20.0, "beamwidth_deg": 120.0}}]}
     Powers and densities are linear scale, densities per unit l-volume.
+    Every value must have its schema type, a number being a JSON number
+    (not a string or boolean) and the dimension a whole one; anything else
+    raises SpecError naming the field.
     """
-    if "dimension" not in obj:
-        raise SpecError("dimension is required")
-    if "epsilon" not in obj:
-        raise SpecError("epsilon is required")
-    dim = Dimension(int(obj["dimension"]))
+    obj = _object(obj, "spec")
+    l = _number(obj, "dimension")
+    dim = Dimension(int(l) if l.is_integer() else l)
+    epsilon = _number(obj, "epsilon")
     tiers_raw = obj.get("tiers")
-    if not tiers_raw:
+    if not (isinstance(tiers_raw, list) and tiers_raw):
         raise SpecError("tiers must be a nonempty list")
     tiers = tuple(_parse_tier(t, i) for i, t in enumerate(tiers_raw))
     return NetworkSpec(
         dim=dim,
-        epsilon=float(obj["epsilon"]),
+        epsilon=epsilon,
         tiers=tiers,
         fading=_parse_fading(obj.get("fading")),
-        noise=float(obj.get("noise", 0.0)),
+        noise=_number(obj, "noise", default=0.0),
     )
 
 

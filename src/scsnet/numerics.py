@@ -15,9 +15,11 @@ Three numerical primitives live here:
   interferer closed form.
 
 * ``invert_tail`` recovers P(Y > eta) for a nonnegative ratio Y from the
-  characteristic function of 1/Y in the 1F1 family (exact envelope A w^-p,
-  remainder at most |B| w^(-1-2p) oscillating as e^{iw}), by folding the
-  inversion integral onto [0, inf).  Beyond a cutoff Omega the envelope's
+  characteristic function of 1/Y in the 1F1 family, by folding the
+  inversion integral onto [0, inf).  The exponent p fixes the family's
+  exact envelope A w^-p, A = e^{i p pi/2} / Gamma(1-p) times a damping in
+  (0, 1], and its remainder, at most |B| w^(-1-2p) with |B| = p /
+  Gamma(1-p)^2, oscillating as e^{iw}.  Beyond a cutoff Omega the envelope's
   tail is subtracted exactly and the remainder's bounded; Omega climbs a
   geometric ladder until the bound meets tol/2, within a fixed evaluation
   budget, past which InversionError carries the partial value.
@@ -30,7 +32,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple, Union
+from typing import Callable, Union
 
 import numpy as np
 from scipy.integrate import quad
@@ -264,7 +266,8 @@ def invert_tail(
     charfn: Callable[[np.ndarray], np.ndarray],
     eta: float,
     *,
-    envelope: Tuple[float, complex],
+    p: float,
+    damping: float = 1.0,
     tol: float = 1e-4,
     char_scale: float = 1.0,
 ) -> QuadratureResult:
@@ -277,8 +280,9 @@ def invert_tail(
                    = (1/pi) int_0^inf Re[phi_X(w) (1 - e^{-i w/eta})/(i w)] dw.
 
     ``charfn`` must accept an ndarray of w values and belong to the 1F1
-    family: phi_X(w) = A w^-p + R(w), ``envelope`` = (p, A) with p in
-    (0, 1), and |R(w)| <= |B| w^(-1-2p) oscillating as e^{iw}.  Gauss-Legendre
+    family: phi_X(w) = A w^-p + R(w) with p in (0, 1), A = e^{i p pi/2} /
+    Gamma(1-p) * ``damping`` (the caller's factor in (0, 1], 1 for C/I),
+    and |R(w)| <= |B| w^(-1-2p) oscillating as e^{iw}.  Gauss-Legendre
     panels, sized by ``char_scale`` (the charfn's own oscillation frequency),
     cover [0, Omega]; the envelope's tail beyond Omega is subtracted exactly
     (_envelope_tail) and R's is bounded (_remainder_bound).  Omega is the
@@ -293,9 +297,11 @@ def invert_tail(
                          "the eta = 0 tail is 1 by definition")
     if not (tol > 0):
         raise ValueError("tol must be positive")
-    p, A = envelope
     if not (0.0 < p < 1.0):
-        raise ValueError(f"envelope exponent must lie in (0, 1), got {p}")
+        raise ValueError(f"envelope exponent p must lie in (0, 1), got {p}")
+    if not (0.0 < damping <= 1.0):
+        raise ValueError(f"damping must lie in (0, 1], got {damping}")
+    A = complex(np.exp(1j * p * math.pi / 2)) / math.gamma(1.0 - p) * damping
     x = 1.0 / eta
     panel_w = math.pi / (char_scale + x)
     Omega, Omega_max = 30.0, (_MAX_EVALS // 16 - _GRADING - 1) * panel_w

@@ -49,24 +49,23 @@ def invert_ci():
     form need this independent route: the one tail_ci takes below 1.
     """
     from scsnet import charfn_inv_ci, invert_tail
-    from scsnet.analytic import _envelope_ci
 
     def run(ratio, eta, tol=1e-6):
         return invert_tail(lambda w: charfn_inv_ci(ratio, w), eta, tol=tol,
-                           envelope=_envelope_ci(1.0 / ratio)).value
+                           p=1.0 / ratio).value
     return run
 
 
 @pytest.fixture(scope="session")
-def envelope_cin():
-    """Envelope (a, A_N) of charfn_inv_cin, phi ~ A_N w^-a, by its own quad.
+def damping_cin():
+    """Noise damping of charfn_inv_cin's envelope, by its own quad.
 
-    A_N = e^{i a pi/2} int_0^inf exp(-Gamma(1-a) u - c u^(eps/l)) du with
-    c = N' (l/b)^(eps/l), integrated directly rather than through the
-    rescaled integral that tail_cin_closed shares with tail_cin.
+    phi ~ A_N w^-a with A_N = e^{i a pi/2} int_0^inf exp(-Gamma(1-a) u -
+    c u^(eps/l)) du, c = N' (l/b)^(eps/l), which is the C/I coefficient
+    e^{i a pi/2} / Gamma(1-a) times Gamma(1-a) times that integral.  It is
+    integrated directly rather than through the rescaled integral that
+    tail_cin_closed shares with tail_cin.
     """
-    import cmath
-
     from scipy.integrate import quad
 
     def run(canon):
@@ -75,18 +74,18 @@ def envelope_cin():
         g = math.gamma(1.0 - a)
         val, _ = quad(lambda u: math.exp(-g * u - c * u**rho), 0.0, math.inf,
                       epsabs=1e-14, epsrel=1e-12, limit=200)
-        return a, cmath.exp(0.5j * math.pi * a) * val
+        return g * val
     return run
 
 
 @pytest.fixture(scope="session")
-def invert_cin(envelope_cin):
+def invert_cin(damping_cin):
     """P(C/(I+N') > eta) by charfn inversion at any eta > 0 (see invert_ci)."""
     from scsnet import charfn_inv_cin, invert_tail
     from scsnet.analytic import _cin_char_scale
 
     def run(canon, eta, tol=1e-5):
         return invert_tail(lambda w: charfn_inv_cin(canon, w), eta, tol=tol,
-                           envelope=envelope_cin(canon),
+                           p=canon.a, damping=damping_cin(canon),
                            char_scale=_cin_char_scale(canon)).value
     return run

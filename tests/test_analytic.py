@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -27,7 +28,6 @@ from scsnet import (
     tail_cin_closed,
 )
 from scsnet import analytic
-from scsnet.analytic import _envelope_ci
 from scsnet.montecarlo import substream
 from scsnet.numerics import g_integral, invert_tail
 
@@ -122,7 +122,7 @@ class TestTailCi:
         # eta = 2 for every ratio here and at eta = 1, 1.01, 1.1 for 1.2.
         # 1e-9 is the error refs.json stores for it
         res = invert_tail(lambda w: charfn_inv_ci(ratio, w), eta, tol=tol,
-                          envelope=_envelope_ci(1.0 / ratio))
+                          p=1.0 / ratio)
         assert res.abs_error_estimate <= tol
         assert abs(res.value - anchor) <= res.abs_error_estimate + 1e-9
 
@@ -278,11 +278,12 @@ class TestTailCin:
 
     @pytest.mark.parametrize("eps", [3.0, 4.0, 5.0])
     @pytest.mark.parametrize("nprime", [0.01, 10.0])
-    def test_charfn_envelope_matches_direct_quadrature(self, envelope_cin, eps, nprime):
-        # the cin_table cells: phi w^a -> A_N, which tail_cin takes from
-        # _noise_damping and the fixture from a direct quad
+    def test_charfn_envelope_matches_direct_quadrature(self, damping_cin, eps, nprime):
+        # the cin_table cells: phi w^a -> A_N, whose damping tail_cin takes
+        # from _noise_damping and the fixture from a direct quad
         canon = CanonicalSystem(dim=D2, epsilon=eps, nprime=nprime)
-        a, A_N = envelope_cin(canon)
+        a = canon.a
+        A_N = cmath.exp(0.5j * math.pi * a) / math.gamma(1.0 - a) * damping_cin(canon)
         got = charfn_inv_cin(canon, 1e4) * 1e4**a / A_N
         assert abs(got - 1.0) <= 1e-5
 
@@ -313,6 +314,13 @@ class TestCinClosed:
         canon = CanonicalSystem(dim=Dimension(3), epsilon=7.5, nprime=0.0)
         for eta in (1.0, 3.0):
             assert tail_cin_closed(canon, eta) == tail_ci_closed(2.5, eta)
+
+    @pytest.mark.parametrize("nprime", [1e-300, 1e-30])
+    def test_tiny_noise_never_raises_the_tail(self, nprime):
+        # quad puts the damping integral 1 ulp above 1 here; noise only lowers
+        canon = CanonicalSystem(dim=D2, epsilon=4.0, nprime=nprime)
+        assert tail_cin_closed(canon, 2.0) == tail_ci_closed(2.0, 2.0)
+        assert tail_cin(canon, 0.5) == pytest.approx(tail_ci(2.0, 0.5), abs=2e-5)
 
     def test_very_noisy_system_keeps_its_peak(self):
         # at N' = 1e10 the integrand is a narrow peak at 0 that quad on
@@ -443,8 +451,7 @@ PLANAR = NetworkSpec(dim=D2, epsilon=4.0, tiers=(Tier(1.0, 1.0),), noise=0.1)
     lambda eta: tail_ci2(2.0, eta),
     lambda eta: tail_cin(NOISY, eta),
     lambda eta: tail_cin_closed(NOISY, eta),
-    lambda eta: invert_tail(lambda w: charfn_inv_ci(2.0, w), eta,
-                            envelope=_envelope_ci(0.5)),
+    lambda eta: invert_tail(lambda w: charfn_inv_ci(2.0, w), eta, p=0.5),
     lambda eta: empirical_tail_ci(PLANAR, [eta], 100, 0),
     lambda eta: empirical_tail_cin(PLANAR, [eta], 100, 0),
     lambda eta: empirical_tail_fewbs(PLANAR, [eta], 100, 0),
@@ -492,8 +499,7 @@ def test_nan_ratio_or_radius_fails_fast(entry, name):
     lambda tol: tail_cin(NOISY, 0.5, tol=tol),
     lambda tol: tail_cin(NOISY, 2.0, tol=tol),
     lambda tol: tail_cin_closed(NOISY, 2.0, tol=tol),
-    lambda tol: invert_tail(lambda w: charfn_inv_ci(2.0, w), 0.5,
-                            envelope=_envelope_ci(0.5), tol=tol),
+    lambda tol: invert_tail(lambda w: charfn_inv_ci(2.0, w), 0.5, p=0.5, tol=tol),
 ], ids=["tail_ci", "tail_ci_above_one", "tail_cin", "tail_cin_above_one",
         "tail_cin_closed", "invert_tail"])
 def test_bad_tol_fails_fast(entry, tol):

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from scsnet import LookupTable, default_r_max, load_spec
+from scsnet import LookupTable, canonicalize, default_r_max, load_spec, tail_cin
 from scsnet.cli import main
 
 
@@ -97,6 +97,24 @@ class TestReduce:
         # 0 dBm = 1e-3 linear; lambda_eff = 2*sqrt(4) = 4, N' = N / 16
         assert json.loads(out)["nprime"] == pytest.approx(1e-3 / 16.0)
 
+    def test_power_dbm_override(self, capsys, spec_path):
+        # 30 dBm = 1 W: lambda_eff = 2 * sqrt(1) = 2, N' = 0.5 * 2^-2
+        code, out, _ = run(capsys, "reduce", spec_path, "--json", "--power-dbm", "30")
+        assert code == 0
+        assert json.loads(out)["nprime"] == 0.125
+
+    @pytest.mark.parametrize("doc", [
+        [1], {"dimension": 2.5, "epsilon": 4.0, "tiers": [{"density": 1, "power": 1}]},
+        {"dimension": 2, "epsilon": 4.0, "tiers": "ab"},
+        {"dimension": 2, "epsilon": 4.0, "tiers": [{"density": "x", "power": 1}]},
+    ])
+    def test_malformed_spec_is_a_spec_error(self, capsys, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "reduce", path, "--json")
+        assert code == 2 and out == ""
+        assert err.startswith("invalid spec:")
+
     @pytest.mark.parametrize("command", ["reduce", "tail"])
     def test_power_dbm_refused_on_sectored_tier(self, capsys, tmp_path, command):
         # a sectored tier is heard at its sector gain, so its power is unused
@@ -122,6 +140,30 @@ class TestTail:
                            "--out", tmp_path / "x.csv")
         assert code == 2
         assert "valid pairs" in err
+
+    def test_lookup_is_not_a_tail_method(self, capsys, spec_path, tmp_path):
+        # stored tables are read by `scs lookup`
+        with pytest.raises(SystemExit) as exc:
+            main(["tail", str(spec_path), "--metric", "cin", "--method", "lookup",
+                  "--etas", "1", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+
+    def test_unsorted_etas_write_nothing(self, capsys, spec_path, tmp_path):
+        code, _, err = run(capsys, "tail", spec_path, "--metric", "ci",
+                           "--method", "exact", "--etas", "1,0.5",
+                           "--out", tmp_path / "x.csv")
+        assert code == 2 and "sorted" in err
+        assert list(tmp_path.iterdir()) == [spec_path]
+
+    def test_exact_cin_writes_tail_cin(self, capsys, spec_path, tmp_path):
+        out = tmp_path / "cin.csv"
+        etas = [0.5, 1.0, 2.0]
+        code, _, _ = run(capsys, "tail", spec_path, "--metric", "cin",
+                         "--method", "exact", "--etas", "0.5,1,2", "--out", out)
+        assert code == 0
+        canon = canonicalize(load_spec(spec_path))
+        want = [f"{e!r},{tail_cin(canon, e)!r},exact" for e in etas]
+        assert out.read_text().splitlines() == ["eta,tail,method", *want]
 
     def test_exact_ci_invariant_to_density_and_power(self, capsys, tmp_path):
         vals = []

@@ -190,6 +190,15 @@ class TestEmpiricalTails:
         b = empirical_tail_cin(spec, [0.5, 1.0, 2.0], 30_000, 123)
         assert a == b
 
+    def test_empty_rows_are_redrawn_at_the_geometric_rate(self):
+        # at r_max = 0.3 a row is empty with p = e^(-0.09 pi) and is redrawn
+        # until heard: n p/(1-p) ~ 61,206 rejections, sd sqrt(n p)/(1-p) ~ 500
+        n, p = 20_000, math.exp(-0.09 * math.pi)
+        emp = empirical_tail_ci(canonical(), [0.0, 1.0], n, 3, r_max=0.3)
+        assert abs(emp.n_rejected - n * p / (1 - p)) <= 4 * math.sqrt(n * p) / (1 - p)
+        assert emp.tails[0] == 1.0
+        assert empirical_tail_ci(canonical(), [0.0, 1.0], n, 3, r_max=0.3) == emp
+
     def test_substream_isolation(self):
         # realization j is pinned to (block, row), so growing n only appends
         spec = canonical()
@@ -338,13 +347,6 @@ class TestFewBs:
     def test_n_must_be_positive(self):
         with pytest.raises(ValueError, match="n must be"):
             empirical_tail_fewbs(canonical(), [1.0], 0, 1)
-
-    def test_higher_k_supported(self):
-        emp3 = empirical_tail_fewbs(canonical(), [0.5, 1.0], 20_000, 22, k=3)
-        emp2 = empirical_tail_fewbs(canonical(), [0.5, 1.0], 20_000, 22, k=2)
-        assert all(0 <= t <= 1 for t in emp3.tails)
-        # k=3 keeps more randomness than k=2, so the tails differ slightly
-        assert emp3 != emp2
 
 
 class TestSeeding:

@@ -310,6 +310,9 @@ class TestNoiseAfterAddingTiers:
         assert n2 == pytest.approx((3.0**-0.5 + 1.0) ** -2.0, rel=1e-13)
 
 
+GOOD_DOC = {"dimension": 2, "epsilon": 4.0, "tiers": [{"density": 1, "power": 1}]}
+
+
 class TestJson:
     def test_round_trip_document(self):
         doc = {
@@ -339,10 +342,29 @@ class TestJson:
         ({"dimension": 2, "epsilon": 4.0, "tiers": [{"density": 1}]}, "power"),
         ({"dimension": 2, "epsilon": 4.0, "tiers": [{"density": 1, "power": 1}],
           "fading": {"type": "weird"}}, "fading"),
+        ({**GOOD_DOC, "dimension": 2.5}, "dimension"),
+        ({**GOOD_DOC, "dimension": True}, "dimension"),
+        ({**GOOD_DOC, "dimension": "2"}, "dimension"),
+        ({**GOOD_DOC, "epsilon": None}, "epsilon"),
+        ({**GOOD_DOC, "noise": None}, "noise"),
+        ({**GOOD_DOC, "tiers": [1]}, r"tiers\[0\]"),
+        ({**GOOD_DOC, "tiers": "ab"}, "tiers"),
+        ({**GOOD_DOC, "tiers": [{"density": "x", "power": 1}]}, r"tiers\[0\]\.density"),
+        ({**GOOD_DOC, "tiers": [{"density": 1, "power": 1, "sector": 5}]}, "sector"),
+        ({**GOOD_DOC, "tiers": [{"density": 1, "power": 1, "sector": {"gain": 2}}]},
+         "beamwidth_deg"),
+        ({**GOOD_DOC, "fading": "lognormal"}, "fading"),
+        ({**GOOD_DOC, "fading": {"type": "lognormal", "sigma": 0.5}}, "sigma_db"),
+        ({**GOOD_DOC, "fading": {"type": "moment"}}, "value"),
+        ([GOOD_DOC], "spec"),
     ])
     def test_errors_name_the_field(self, doc, needle):
         with pytest.raises(SpecError, match=needle):
             spec_from_json(doc)
+
+    def test_whole_float_dimension_is_an_int(self):
+        l = spec_from_json({**GOOD_DOC, "dimension": 3.0}).dim.l
+        assert l == 3 and type(l) is int
 
     def test_moment_fading(self):
         spec = spec_from_json({

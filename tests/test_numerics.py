@@ -13,7 +13,6 @@ from scsnet import (
     tail_ci_closed,
     tail_cin,
 )
-from scsnet.analytic import _envelope_ci
 from scsnet.numerics import (
     _MAX_EVALS,
     InversionError,
@@ -154,30 +153,25 @@ def inv_ci(w):
     return charfn_inv_ci(2.0, w)
 
 
-INV_CI_ENVELOPE = _envelope_ci(0.5)
-
-
 class TestInvertTail:
     def test_known_tail_above_one(self):
         # at eta >= 1 the tail is the exact sinc power law; the raw value
         # must lie within its own error estimate of it
         for eta in (1.0, 2.0, 4.0):
-            res = invert_tail(inv_ci, eta, tol=1e-8, envelope=INV_CI_ENVELOPE)
+            res = invert_tail(inv_ci, eta, tol=1e-8, p=0.5)
             assert res.abs_error_estimate <= 1e-8
             assert abs(res.value - tail_ci_closed(2.0, eta)) <= res.abs_error_estimate
 
     def test_monotone_in_eta(self):
         etas = np.geomspace(0.1, 20.0, 12)
-        vals = [invert_tail(inv_ci, e, tol=1e-6, envelope=INV_CI_ENVELOPE).value
-                for e in etas]
+        vals = [invert_tail(inv_ci, e, tol=1e-6, p=0.5).value for e in etas]
         for lo, hi in zip(vals[1:], vals[:-1]):
             assert lo <= hi + 1e-6
 
     def test_output_clamped_and_raw_excursion_small(self):
         # P(C/I > 0.1) at eps/l = 4 is within 6e-9 of 1; the raw value
         # overshoots within its error estimate and tail_ci clamps it
-        res = invert_tail(lambda w: charfn_inv_ci(4.0, w), 0.1, tol=1e-6,
-                          envelope=_envelope_ci(0.25))
+        res = invert_tail(lambda w: charfn_inv_ci(4.0, w), 0.1, tol=1e-6, p=0.25)
         assert abs(min(1.0, max(0.0, res.value)) - res.value) <= res.abs_error_estimate
         assert 0.0 <= tail_ci(4.0, 0.1) <= 1.0
 
@@ -185,7 +179,7 @@ class TestInvertTail:
         # the 1e-13 rounding allowance alone exceeds tol: Omega climbs to
         # the evaluation budget, and the value there travels in the error
         with pytest.raises(InversionError) as exc:
-            invert_tail(inv_ci, 0.5, tol=1e-15, envelope=INV_CI_ENVELOPE)
+            invert_tail(inv_ci, 0.5, tol=1e-15, p=0.5)
         # mpmath Gil-Pelaez value of P(C/I > 0.5) at eps/l = 2
         assert exc.value.partial_value == pytest.approx(0.845702973762835, abs=1e-9)
         assert exc.value.error_estimate > 0
@@ -196,21 +190,29 @@ class TestInvertTail:
             raise AssertionError("charfn evaluated")
 
         with pytest.raises(InversionError):
-            invert_tail(never, 0.5, envelope=INV_CI_ENVELOPE, char_scale=1e9)
+            invert_tail(never, 0.5, p=0.5, char_scale=1e9)
         # N' = 1e10 puts the noise phase at ~1e10 per unit omega
         with pytest.raises(InversionError):
             tail_cin(CanonicalSystem(dim=Dimension(2), epsilon=4.0, nprime=1e10), 0.5)
 
     def test_eta_zero_is_callers_branch(self):
         with pytest.raises(ValueError):
-            invert_tail(inv_ci, 0.0, envelope=INV_CI_ENVELOPE)
+            invert_tail(inv_ci, 0.0, p=0.5)
 
     def test_decay_is_required(self):
-        # the envelope (p, A) of the charfn's w^-p decay
+        # the exponent p of the charfn's w^-p decay
         with pytest.raises(TypeError):
             invert_tail(inv_ci, 0.5)
-        with pytest.raises(ValueError, match="envelope exponent"):
-            invert_tail(inv_ci, 0.5, envelope=(1.0, 1.0))
+        with pytest.raises(ValueError, match="envelope exponent p"):
+            invert_tail(inv_ci, 0.5, p=1.0)
+
+    @pytest.mark.parametrize("damping", [0.0, -0.5, 1.5, math.nan, math.inf])
+    def test_damping_outside_unit_interval_fails_fast(self, damping):
+        def never(w):
+            raise AssertionError("charfn evaluated")
+
+        with pytest.raises(ValueError, match="damping"):
+            invert_tail(never, 0.5, p=0.5, damping=damping)
 
     def test_quadrature_result_validation(self):
         with pytest.raises(ValueError):
