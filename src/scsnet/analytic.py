@@ -25,7 +25,6 @@ unlike C/I; the canonical system carries that information.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import os
@@ -193,9 +192,14 @@ def _noise_damping(canon: CanonicalSystem):
     c_root = canon.nprime ** (1.0 / rho) / k  # c^(l/eps)
     s = 1.0 / (1.0 + c_root)
     q = (c_root * s) ** rho  # c s^(eps/l), at most 1
-    val, err, info = quad(lambda x: math.exp(-s * x - q * x**rho), 0.0, math.inf,
-                          epsabs=1e-14, epsrel=1e-12, limit=200,
-                          full_output=1)[:3]
+
+    def f(x):  # 0 where x^(eps/l) passes the float range: exp(-inf)
+        try:
+            return math.exp(-s * x - q * x**rho)
+        except OverflowError:
+            return 0.0
+    val, err, info = quad(f, 0.0, math.inf, epsabs=1e-14, epsrel=1e-12,
+                          limit=200, full_output=1)[:3]
     return min(1.0, s * val), s * err, info["neval"]
 
 
@@ -257,11 +261,12 @@ def tail_ci2(ratio: float, eta: float) -> float:
 
 
 def _cin_char_scale(canon: CanonicalSystem) -> float:
-    # Dominant oscillation frequency of the C/(I+N') charfn: the unit mode
-    # plus the noise term's typical scale N' * E[(l T / b)^(eps/l)].
-    l, b = canon.dim.l, canon.dim.b
+    # Dominant oscillation frequency of the C/(I+N') charfn: the unit mode plus
+    # N' E[(l T / b)^(eps/l)], in logs as Gamma(eps/l + 1) overflows past 171.
     rho = canon.ratio
-    return 1.0 + canon.nprime * (l / b) ** rho * math.gamma(rho + 1.0)
+    log_noise = (math.log(canon.nprime) + rho * math.log(canon.dim.l / canon.dim.b)
+                 + math.lgamma(rho + 1.0))
+    return 1.0 + (math.exp(log_noise) if log_noise < 709.0 else math.inf)
 
 
 def tail_cin(canon: CanonicalSystem, eta: float, *, tol: float = 1e-5) -> float:
@@ -285,8 +290,7 @@ def tail_cin(canon: CanonicalSystem, eta: float, *, tol: float = 1e-5) -> float:
     if eta >= 1.0:
         return tail_cin_closed(canon, eta, tol=tol)
     if canon.nprime == 0.0:
-        # C/I: charfn_inv_ci's exponent is 1/ratio, and _cin_char_scale's
-        # Gamma(eps/l + 1) would overflow past eps/l ~ 171
+        # C/I: charfn_inv_ci's exponent is 1/ratio; log N' is undefined
         a, char_scale = 1.0 / canon.ratio, 1.0
         charfn = functools.partial(charfn_inv_ci, canon.ratio)
     else:
@@ -428,15 +432,6 @@ def build_lookup_table(l: int, epsilon_grid: Sequence[float],
     return LookupTable(l=l, values=values, **grids)
 
 
-def _bracket(grid, x: float, f) -> Tuple[int, int, float]:
-    """Cell (i, i1) of a sorted grid holding x, and x's weight on grid[i1],
-    linear in f(x); a one-point grid is its own cell, at weight 0."""
-    if len(grid) == 1:
-        return 0, 0, 0.0
-    i = min(max(bisect.bisect_right(grid, x) - 1, 0), len(grid) - 2)
-    return i, i + 1, (f(x) - f(grid[i])) / (f(grid[i + 1]) - f(grid[i]))
-
-
 def lookup(table: LookupTable, spec: NetworkSpec, eta: float) -> float:
     """Read the C/(I+N) tail for a full network spec out of the table.
 
@@ -461,13 +456,8 @@ def lookup(table: LookupTable, spec: NetworkSpec, eta: float) -> float:
     if not (npr_g[0] <= npr <= npr_g[-1]):
         raise LookupRangeError(f"N'={npr} outside table hull "
                                f"[{npr_g[0]}, {npr_g[-1]}]")
-    i, i1, wi = _bracket(eps_g, eps, float)
-    # noise spans orders of magnitude: interpolate in log N'
-    j, j1, wj = _bracket(npr_g, npr, math.log)
-    v = table.values
-    return float(
-        (1 - wi) * (1 - wj) * v[i, j, eta_idx]
-        + (1 - wi) * wj * v[i, j1, eta_idx]
-        + wi * (1 - wj) * v[i1, j, eta_idx]
-        + wi * wj * v[i1, j1, eta_idx]
-    )
+    # bilinear is separable: along log N' in each epsilon row, then across
+    # epsilon; one log for query and grid keeps grid points exact
+    log_npr = [math.log(x) for x in npr_g]
+    rows = [np.interp(math.log(npr), log_npr, r) for r in table.values[:, :, eta_idx]]
+    return float(np.interp(eps, eps_g, rows))

@@ -50,6 +50,7 @@ from .analytic import (
 from .montecarlo import empirical_tail_ci, empirical_tail_cin
 from .network import (Dimension, LogNormalFading, NetworkSpec, SpecError, Tier,
                       canonicalize, load_spec, reduce_network, sigma_db_to_natural)
+from .numerics import InversionError
 
 
 class UsageError(Exception):
@@ -95,8 +96,7 @@ def _parse_floats(text):
 
 
 def _spec_args(args):
-    d = {"spec": str(args.spec), "spec_sha256": _sha256(args.spec)}
-    return d
+    return {"spec": str(args.spec), "spec_sha256": _sha256(args.spec)}
 
 
 def _dbm_to_linear(dbm: float) -> float:
@@ -340,7 +340,7 @@ def main(argv=None) -> int:
     except SpecError as e:
         print(f"invalid spec: {e}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, InversionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

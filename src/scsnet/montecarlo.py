@@ -154,6 +154,12 @@ def _block_ps_pi(spec: NetworkSpec, r_max: float, rows: int, rng):
     return p_s, total - p_s + far, p_s > 0.0
 
 
+def _blocks(n: int, seed: int, stream_base: int = 0):
+    """(rows, rng) per block, block k on substream(seed, stream_base + k)."""
+    for k in range((n + BLOCK_SIZE - 1) // BLOCK_SIZE):
+        yield min(BLOCK_SIZE, n - k * BLOCK_SIZE), substream(seed, stream_base + k)
+
+
 # pilot runs (radius calibration) draw from streams far above any block index
 _PILOT_STREAM_BASE = 1 << 48
 _PILOT_N = 1000
@@ -178,10 +184,7 @@ def _simulate_blocks(spec: NetworkSpec, r_max: float, n: int, seed: int,
         raise UnsupportedSettingError(
             f"r_max={r_max:.6g} expects {stations:.3g} stations in a block of {rows}"
             f" rows, above the limit of {_MAX_BLOCK_STATIONS}; pass a smaller r_max")
-    n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-    for blk in range(n_blocks):
-        rows = min(BLOCK_SIZE, n - blk * BLOCK_SIZE)
-        rng = substream(seed, stream_base + blk)
+    for rows, rng in _blocks(n, seed, stream_base):
         p_s, p_i, ok = _block_ps_pi(spec, r_max, rows, rng)
         rejected = 0
         while not ok.all():
@@ -290,10 +293,7 @@ def _fewbs_ratios(spec: NetworkSpec, n: int, seed: int):
     l, b, eps = spec.dim.l, spec.dim.b, spec.epsilon
     lam = spec.tiers[0].density
     kpow = spec.tiers[0].power
-    n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-    for blk in range(n_blocks):
-        rows = min(BLOCK_SIZE, n - blk * BLOCK_SIZE)
-        rng = substream(seed, blk)
+    for rows, rng in _blocks(n, seed):
         t = rng.exponential(size=(rows, 2)).cumsum(axis=1)
         radii = (l * t / (lam * b)) ** (1.0 / l)
         p_s, p_2 = (kpow * radii**-eps).T

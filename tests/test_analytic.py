@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -197,6 +198,34 @@ class TestTailCin:
     def test_ci_at_large_ratio_answers(self, eta):
         # Gamma(ratio + 1), the noise scale of C/(I+N'), overflows here
         assert tail_ci_closed(200.0, 2.0) <= tail_ci(200.0, eta) <= 1.0
+
+    def test_noisy_large_ratio_matches_campbell_mecke(self):
+        # l = 1, eps = 200, N' = 1: the damping integrand's x^(eps/l)
+        # overflows past x ~ 35, where the integrand is exactly 0
+        with mp.workdps(30):
+            a = mp.mpf(1) / 200
+            k = 2 * mp.gamma(1 - a)
+            damped = mp.quad(lambda u: mp.exp(-k * u - u**200),
+                             [0, 0.9, 1, 1.1, mp.inf])
+            want = float(2.0 ** -a * 2 / mp.gamma(1 + a) * damped)
+        assert want == pytest.approx(0.861638, abs=1e-6)
+        canon = CanonicalSystem(dim=Dimension(1), epsilon=200.0, nprime=1.0)
+        assert abs(tail_cin(canon, 2.0) - want) <= 1e-9
+
+    @pytest.mark.parametrize("l", [2, 3])
+    def test_overflowing_ray_exponent_is_refused(self, l):
+        # eps/l = 200, N' = 1e-300: the ray's c = N' (l/b)^200 underflows to 0
+        # and L^200 overflows, so charfn_inv_cin returns NaN, not a tail of 0
+        canon = CanonicalSystem(dim=Dimension(l), epsilon=200.0 * l, nprime=1e-300)
+        with pytest.warns(RuntimeWarning), pytest.raises(InversionError):
+            tail_cin(canon, 0.5)
+
+    def test_noisy_large_ratio_inversion_refused_unevaluated(self):
+        # the noise phase scale N' (l/b)^200 Gamma(201) is past the float range
+        canon = CanonicalSystem(dim=Dimension(1), epsilon=200.0, nprime=1.0)
+        with pytest.raises(InversionError) as exc:
+            tail_cin(canon, 0.5)
+        assert exc.value.evaluations == 0
 
     def test_eta_zero(self):
         canon = CanonicalSystem(dim=D2, epsilon=4.0, nprime=0.3)
@@ -418,6 +447,25 @@ class TestLookupTable:
         spec = NetworkSpec(dim=D2, epsilon=4.0, tiers=(Tier(1.0, 1.0),), noise=0.1)
         with pytest.raises(LookupRangeError):
             lookup(table, spec, 0.7)
+
+    def test_interior_lookup_is_bilinear_in_epsilon_and_log_nprime(self):
+        rng = np.random.default_rng(14)
+        eps_g, npr_g = (3.0, 3.4, 4.5, 5.0), (1e-3, 0.02, 0.5, 3.0, 40.0)
+        table = LookupTable(2, eps_g, npr_g, (1.0,), rng.uniform(size=(4, 5, 1)))
+        v = table.values[:, :, 0]
+        for _ in range(100):
+            spec = NetworkSpec(dim=D2, epsilon=float(rng.uniform(3.0, 5.0)),
+                               tiers=(Tier(1.0, 1.0),),
+                               noise=float(10 ** rng.uniform(-3.0, math.log10(40.0))))
+            canon = canonicalize(spec)
+            i = int(np.searchsorted(eps_g, canon.epsilon)) - 1
+            j = int(np.searchsorted(npr_g, canon.nprime)) - 1
+            wi = (canon.epsilon - eps_g[i]) / (eps_g[i + 1] - eps_g[i])
+            wj = ((math.log(canon.nprime) - math.log(npr_g[j]))
+                  / (math.log(npr_g[j + 1]) - math.log(npr_g[j])))
+            want = ((1 - wi) * (1 - wj) * v[i, j] + (1 - wi) * wj * v[i, j + 1]
+                    + wi * (1 - wj) * v[i + 1, j] + wi * wj * v[i + 1, j + 1])
+            assert abs(lookup(table, spec, 1.0) - want) <= 1e-15
 
     def test_single_epsilon_interpolates_log_nprime(self):
         one_eps = LookupTable(2, (4.0,), (0.01, 1.0), (1.0,), np.array([[[0.8], [0.4]]]))

@@ -47,7 +47,7 @@ class TestReduce:
         # the README spec: 1/3 of tier 1 heard at gain 20, tier 2 at 0.1; a = 1/2
         path = tmp_path / "readme.json"
         path.write_text(json.dumps({
-            "dimension": 2, "epsilon": 4.0, "noise": 1.0e-9,
+            "dimension": 2, "epsilon": 4.0, "noise": 1.0e-2,
             "fading": {"type": "lognormal", "sigma_db": 8.0},
             "tiers": [
                 {"density": 1.0, "power": 10.0,
@@ -207,6 +207,21 @@ class TestTail:
         assert rows[0] == "eta,tail,method"
         assert all(r.endswith(",fewbs") for r in rows[1:])
 
+    @pytest.mark.parametrize("doc", [
+        # N' = 1e5: the noise phase needs more than the evaluation budget
+        {"dimension": 2, "epsilon": 4.0, "noise": 1e5},
+        # eps/l = 200: the noise phase scale is past the float range
+        {"dimension": 1, "epsilon": 200.0, "noise": 1.0},
+    ])
+    def test_inversion_error_writes_nothing(self, capsys, tmp_path, doc):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**doc, "tiers": [{"density": 1.0, "power": 1.0}]}))
+        code, _, err = run(capsys, "tail", path, "--metric", "cin", "--method",
+                           "exact", "--etas", "0.5,2", "--out", tmp_path / "x.csv")
+        assert code == 1
+        assert err.startswith("error: char_scale")
+        assert list(tmp_path.iterdir()) == [path]
+
 
 class TestTableAndLookup:
     def test_round_trip_and_query(self, capsys, spec_path, tmp_path, monkeypatch):
@@ -245,6 +260,14 @@ class TestTableAndLookup:
                            "--nprimes", "0.1", "--etas", "1,1", "--out", table)
         assert code == 1
         assert "etas" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failing_cell_writes_nothing(self, capsys, tmp_path):
+        table = tmp_path / "table.csv"
+        code, _, err = run(capsys, "table", "--l", "2", "--epsilons", "4.0",
+                           "--nprimes", "1e5", "--etas", "0.5", "--out", table)
+        assert code == 1
+        assert err.startswith("error: char_scale")
         assert list(tmp_path.iterdir()) == []
 
     def test_bad_thread_count_writes_nothing(self, capsys, tmp_path, monkeypatch):

@@ -162,6 +162,12 @@ class TestInvertTail:
             assert res.abs_error_estimate <= 1e-8
             assert abs(res.value - tail_ci_closed(2.0, eta)) <= res.abs_error_estimate
 
+    def test_narrow_panels_reach_tiny_omega_x(self):
+        # char_scale 10 puts the smallest Gauss node at w x ~ 4e-7, where
+        # 1 - e^{-iwx} cancels to first order; the tail at eta = 1 is 2/pi
+        res = invert_tail(inv_ci, 1.0, p=0.5, char_scale=10.0, tol=1e-8)
+        assert abs(res.value - 2.0 / math.pi) <= 1e-8
+
     def test_monotone_in_eta(self):
         etas = np.geomspace(0.1, 20.0, 12)
         vals = [invert_tail(inv_ci, e, tol=1e-6, p=0.5).value for e in etas]
