@@ -80,6 +80,14 @@ def charfn_inv_ci(ratio: float, omega):
     return 1.0 / kummer_1f1_neg_a(1.0 / ratio, omega)
 
 
+def _noise_scale(canon: CanonicalSystem) -> float:
+    """g = N'^(l/eps) l/b_l, the noise scale: N' (l T/b_l)^(eps/l) = (g T)^(eps/l).
+
+    g stays in range where N' (l/b_l)^(eps/l) would underflow or overflow.
+    """
+    return canon.nprime ** (1.0 / canon.ratio) * canon.dim.l / canon.dim.b
+
+
 # Relative panel layout for the rotated-ray integral, shared by every omega:
 # geometric panels of [0, 1] refined toward 0, 16-point Gauss each.
 _RAY_EDGES = np.concatenate([[0.0], np.geomspace(1e-4, 1.0, 24)])
@@ -108,12 +116,11 @@ def charfn_inv_cin(canon: CanonicalSystem, omega):
     <= 0 up to arg t = a*pi), so the contour is rotated to the ray
     t = L u e^{i a pi/2}, u in [0, 1], L = 60 / Re(e^{i a pi/2} F).  Since
     a * eps/l = 1, t^(eps/l) = i (L u)^(eps/l) there: the noise phase is the
-    real decay -c w L^(eps/l) u^(eps/l), c = N' (l/b_l)^(eps/l), and the
+    real decay -w (g L)^(eps/l) u^(eps/l), g = _noise_scale(canon), and the
     exponent is real outer products plus i times -L Im(e^{i a pi/2} F) u.
     """
-    l, b = canon.dim.l, canon.dim.b
     a, rho = canon.a, canon.ratio
-    c = canon.nprime * (l / b) ** rho
+    g = _noise_scale(canon)
     w = np.asarray(omega, dtype=float)
     scalar = w.ndim == 0
     w1 = np.atleast_1d(w)
@@ -130,7 +137,7 @@ def charfn_inv_cin(canon: CanonicalSystem, omega):
         rF = ray * np.atleast_1d(kummer_1f1_neg_a(a, wc))
         L = _RAY_SPAN / rF.real
         phase = np.empty((wc.size, _RAY_U.size), dtype=complex)
-        np.multiply.outer(-c * wc * L**rho, u_rho, out=phase.real)
+        np.multiply.outer(-wc * (g * L)**rho, u_rho, out=phase.real)
         phase.real -= _RAY_SPAN * _RAY_U
         np.multiply.outer(-L * rF.imag, _RAY_U, out=phase.imag)
         # weight in place and sum rows: `@` would hand this to BLAS threads
@@ -188,8 +195,7 @@ def _noise_damping(canon: CanonicalSystem):
     if canon.nprime == 0.0:
         return 1.0, 0.0, 0
     rho = canon.ratio
-    k = canon.dim.b / canon.dim.l * math.gamma(1.0 - canon.a)
-    c_root = canon.nprime ** (1.0 / rho) / k  # c^(l/eps)
+    c_root = _noise_scale(canon) / math.gamma(1.0 - canon.a)  # c^(l/eps)
     s = 1.0 / (1.0 + c_root)
     q = (c_root * s) ** rho  # c s^(eps/l), at most 1
 
@@ -262,10 +268,10 @@ def tail_ci2(ratio: float, eta: float) -> float:
 
 def _cin_char_scale(canon: CanonicalSystem) -> float:
     # Dominant oscillation frequency of the C/(I+N') charfn: the unit mode plus
-    # N' E[(l T / b)^(eps/l)], in logs as Gamma(eps/l + 1) overflows past 171.
-    rho = canon.ratio
-    log_noise = (math.log(canon.nprime) + rho * math.log(canon.dim.l / canon.dim.b)
-                 + math.lgamma(rho + 1.0))
+    # E[(g T)^(eps/l)], in logs as Gamma(eps/l + 1) overflows past 171; g is 0
+    # only for a subnormal N', whose noise term is 0.
+    rho, g = canon.ratio, _noise_scale(canon)
+    log_noise = rho * math.log(g) + math.lgamma(rho + 1.0) if g > 0.0 else -math.inf
     return 1.0 + (math.exp(log_noise) if log_noise < 709.0 else math.inf)
 
 
@@ -285,6 +291,8 @@ def tail_cin(canon: CanonicalSystem, eta: float, *, tol: float = 1e-5) -> float:
     """
     if not (eta >= 0):
         raise ValueError(f"eta must be >= 0, got {eta}")
+    if not (tol > 0):
+        raise ValueError("tol must be positive")
     if eta == 0:
         return 1.0
     if eta >= 1.0:

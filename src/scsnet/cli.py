@@ -2,8 +2,8 @@
 
 Subcommands
 -----------
-scs reduce SPEC.json [--json]
-    Print the canonical reduction (lambda_eff, moments, N').
+scs reduce SPEC.json
+    Print the canonical reduction (lambda_eff, moments, N') as JSON.
 scs tail SPEC.json --metric {ci,cin} --method {exact,fewbs,mc} ...
     Evaluate a tail curve and write it as CSV.
 scs table --l L --epsilons ... --nprimes ... --etas ... --out FILE
@@ -18,15 +18,11 @@ Every file-writing command also writes `<file>.manifest.json` recording the
 command, the spec digest, the seed and grids, and the tool version, so any
 output can be reproduced exactly.  Data files are byte-identical across
 reruns with the same inputs and seed.
-
-The computational core is strictly linear-scale; the --sigma-db, --power-dbm
-and --noise-dbm conveniences convert at this boundary only.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import hashlib
 import json
@@ -48,8 +44,8 @@ from .analytic import (
     tail_cin,
 )
 from .montecarlo import empirical_tail_ci, empirical_tail_cin
-from .network import (Dimension, LogNormalFading, NetworkSpec, SpecError, Tier,
-                      canonicalize, load_spec, reduce_network, sigma_db_to_natural)
+from .network import (Dimension, NetworkSpec, SpecError, Tier, canonicalize,
+                      load_spec, reduce_network)
 from .numerics import InversionError
 
 
@@ -99,53 +95,18 @@ def _spec_args(args):
     return {"spec": str(args.spec), "spec_sha256": _sha256(args.spec)}
 
 
-def _dbm_to_linear(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
-
-
-def _load_spec_with_overrides(args):
-    """Load the spec and apply the dB convenience flags at the boundary."""
-    spec = load_spec(args.spec)
-    if args.sigma_db is not None:
-        spec = dataclasses.replace(
-            spec, fading=LogNormalFading(sigma_db_to_natural(args.sigma_db))
-        )
-    if args.noise_dbm is not None:
-        spec = dataclasses.replace(spec, noise=_dbm_to_linear(args.noise_dbm))
-    if args.power_dbm is not None:
-        if len(spec.tiers) != 1:
-            raise UsageError("--power-dbm applies only to single-tier specs")
-        (tier,) = spec.tiers
-        if tier.sector is not None:
-            raise UsageError("--power-dbm does not apply to a sectored tier, heard at "
-                             f"its sector gain ({tier.sector.gain!r}); set sector.gain")
-        tier = dataclasses.replace(tier, power=_dbm_to_linear(args.power_dbm))
-        spec = dataclasses.replace(spec, tiers=(tier,))
-    return spec
-
-
 def cmd_reduce(args) -> int:
-    spec = _load_spec_with_overrides(args)
+    spec = load_spec(args.spec)
     red = reduce_network(spec)
-    if args.json:
-        print(json.dumps({
-            "l": spec.dim.l,
-            "epsilon": spec.epsilon,
-            "total_density": spec.total_density,
-            "power_moment": red.power_moment,
-            "fading_moment": red.fading_moment,
-            "lambda_eff": red.lambda_eff,
-            "nprime": red.canon.nprime,
-        }, indent=2, sort_keys=True))
-    else:
-        print(f"{'quantity':<22}{'value'}")
-        print(f"{'l':<22}{spec.dim.l}")
-        print(f"{'epsilon':<22}{spec.epsilon!r}")
-        print(f"{'total density':<22}{spec.total_density!r}")
-        print(f"{'E[K^(l/eps)]':<22}{red.power_moment!r}")
-        print(f"{'E[Psi^(l/eps)]':<22}{red.fading_moment!r}")
-        print(f"{'lambda_eff':<22}{red.lambda_eff!r}")
-        print(f"{'N_prime':<22}{red.canon.nprime!r}")
+    print(json.dumps({
+        "l": spec.dim.l,
+        "epsilon": spec.epsilon,
+        "total_density": spec.total_density,
+        "power_moment": red.power_moment,
+        "fading_moment": red.fading_moment,
+        "lambda_eff": red.lambda_eff,
+        "nprime": red.canon.nprime,
+    }, indent=2, sort_keys=True))
     return 0
 
 
@@ -157,7 +118,7 @@ _VALID_PAIRS = {
 
 def cmd_tail(args) -> int:
     started = time.monotonic()
-    spec = _load_spec_with_overrides(args)
+    spec = load_spec(args.spec)
     etas = _parse_floats(args.etas)
     if sorted(etas) != etas:
         raise UsageError("--etas must be sorted ascending")
@@ -275,18 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_db_flags(sp):
-        sp.add_argument("--sigma-db", type=float, default=None,
-                        help="override fading with log-normal sigma in dB")
-        sp.add_argument("--noise-dbm", type=float, default=None,
-                        help="override the noise power, given in dBm")
-        sp.add_argument("--power-dbm", type=float, default=None,
-                        help="override a single unsectored tier's power, in dBm")
-
     pr = sub.add_parser("reduce", help="print the canonical reduction of a spec")
     pr.add_argument("spec", type=Path)
-    pr.add_argument("--json", action="store_true")
-    add_db_flags(pr)
     pr.set_defaults(fn=cmd_reduce)
 
     pt = sub.add_parser("tail", help="evaluate a tail curve to CSV")
@@ -299,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="realizations for --method mc")
     pt.add_argument("--seed", type=int, default=0)
     pt.add_argument("--out", type=Path, default=Path("tail.csv"))
-    add_db_flags(pt)
     pt.set_defaults(fn=cmd_tail)
 
     pb = sub.add_parser("table", help="tabulate C/(I+N') tails over a grid")

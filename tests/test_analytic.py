@@ -212,13 +212,15 @@ class TestTailCin:
         canon = CanonicalSystem(dim=Dimension(1), epsilon=200.0, nprime=1.0)
         assert abs(tail_cin(canon, 2.0) - want) <= 1e-9
 
-    @pytest.mark.parametrize("l", [2, 3])
-    def test_overflowing_ray_exponent_is_refused(self, l):
-        # eps/l = 200, N' = 1e-300: the ray's c = N' (l/b)^200 underflows to 0
-        # and L^200 overflows, so charfn_inv_cin returns NaN, not a tail of 0
-        canon = CanonicalSystem(dim=Dimension(l), epsilon=200.0 * l, nprime=1e-300)
-        with pytest.warns(RuntimeWarning), pytest.raises(InversionError):
-            tail_cin(canon, 0.5)
+    @pytest.mark.parametrize("l, eps, nprime", [
+        (2, 400.0, 1e-300), (3, 600.0, 1e-300), (3, 3.0001, 5e-324),
+    ], ids=["l2_ratio200", "l3_ratio200", "l3_subnormal"])
+    def test_negligible_noise_is_ci(self, l, eps, nprime):
+        # N' (l/b)^(eps/l) underflows to 0.  At eps/l = 200 the ray's L^200
+        # overflows, so the decay must be formed as (g L)^200 with g the noise
+        # scale N'^(l/eps) l/b; near eps/l = 1 g itself is 0, and log(g) is not
+        canon = CanonicalSystem(dim=Dimension(l), epsilon=eps, nprime=nprime)
+        assert tail_cin(canon, 0.5) == pytest.approx(tail_ci(canon.ratio, 0.5), abs=1e-5)
 
     def test_noisy_large_ratio_inversion_refused_unevaluated(self):
         # the noise phase scale N' (l/b)^200 Gamma(201) is past the float range
@@ -548,8 +550,10 @@ def test_nan_ratio_or_radius_fails_fast(entry, name):
     lambda tol: tail_cin(NOISY, 2.0, tol=tol),
     lambda tol: tail_cin_closed(NOISY, 2.0, tol=tol),
     lambda tol: invert_tail(lambda w: charfn_inv_ci(2.0, w), 0.5, p=0.5, tol=tol),
+    lambda tol: tail_ci(2.0, 0.0, tol=tol),
+    lambda tol: tail_cin(NOISY, 0.0, tol=tol),
 ], ids=["tail_ci", "tail_ci_above_one", "tail_cin", "tail_cin_above_one",
-        "tail_cin_closed", "invert_tail"])
+        "tail_cin_closed", "invert_tail", "tail_ci_eta_zero", "tail_cin_eta_zero"])
 def test_bad_tol_fails_fast(entry, tol):
     with pytest.raises(ValueError, match="tol"):
         entry(tol)

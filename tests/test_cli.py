@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +29,7 @@ def run(capsys, *argv):
 
 class TestReduce:
     def test_known_reduction(self, capsys, spec_path):
-        code, out, _ = run(capsys, "reduce", spec_path, "--json")
+        code, out, _ = run(capsys, "reduce", spec_path)
         assert code == 0
         got = json.loads(out)
         # lambda_eff = 2 * sqrt(4) = 4; N' = 0.5 / 4^2 = 0.03125
@@ -40,7 +42,7 @@ class TestReduce:
             "dimension": 2, "epsilon": 4.0, "noise": 0.37,
             "tiers": [{"density": 1.0, "power": 1.0}],
         }))
-        code, out, _ = run(capsys, "reduce", path, "--json")
+        code, out, _ = run(capsys, "reduce", path)
         assert json.loads(out)["nprime"] == pytest.approx(0.37)
 
     def test_readme_sectored_spec_reduces_over_heard_tiers(self, capsys, tmp_path):
@@ -55,7 +57,7 @@ class TestReduce:
                 {"density": 5.0, "power": 0.1},
             ],
         }))
-        code, out, _ = run(capsys, "reduce", path, "--json")
+        code, out, _ = run(capsys, "reduce", path)
         assert code == 0
         want = (1.0 / 3.0 * 20.0**0.5 + 5.0 * 0.1**0.5) / 6.0
         assert json.loads(out)["power_moment"] == pytest.approx(want, rel=1e-14)
@@ -68,8 +70,8 @@ class TestReduce:
         p1, p2 = tmp_path / "one.json", tmp_path / "two.json"
         p1.write_text(json.dumps(base))
         p2.write_text(json.dumps(both))
-        _, out1, _ = run(capsys, "reduce", p1, "--json")
-        _, out2, _ = run(capsys, "reduce", p2, "--json")
+        _, out1, _ = run(capsys, "reduce", p1)
+        _, out2, _ = run(capsys, "reduce", p2)
         n1 = json.loads(out1)["nprime"]
         n2 = json.loads(out2)["nprime"]
         want = (1.0 + 2.0 * 0.25**0.5) ** -2.0
@@ -85,24 +87,6 @@ class TestReduce:
         assert code == 2
         assert "exceed" in err
 
-    def test_db_overrides(self, capsys, spec_path):
-        code, out, _ = run(capsys, "reduce", spec_path, "--json",
-                           "--sigma-db", "8.0")
-        sigma = 8.0 * math.log(10.0) / 10.0
-        assert json.loads(out)["fading_moment"] == pytest.approx(
-            math.exp(0.5 * (0.5 * sigma) ** 2)
-        )
-        code, out, _ = run(capsys, "reduce", spec_path, "--json",
-                           "--noise-dbm", "0.0")
-        # 0 dBm = 1e-3 linear; lambda_eff = 2*sqrt(4) = 4, N' = N / 16
-        assert json.loads(out)["nprime"] == pytest.approx(1e-3 / 16.0)
-
-    def test_power_dbm_override(self, capsys, spec_path):
-        # 30 dBm = 1 W: lambda_eff = 2 * sqrt(1) = 2, N' = 0.5 * 2^-2
-        code, out, _ = run(capsys, "reduce", spec_path, "--json", "--power-dbm", "30")
-        assert code == 0
-        assert json.loads(out)["nprime"] == 0.125
-
     @pytest.mark.parametrize("doc", [
         [1], {"dimension": 2.5, "epsilon": 4.0, "tiers": [{"density": 1, "power": 1}]},
         {"dimension": 2, "epsilon": 4.0, "tiers": "ab"},
@@ -111,26 +95,20 @@ class TestReduce:
     def test_malformed_spec_is_a_spec_error(self, capsys, tmp_path, doc):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "reduce", path, "--json")
+        code, out, err = run(capsys, "reduce", path)
         assert code == 2 and out == ""
         assert err.startswith("invalid spec:")
 
+
     @pytest.mark.parametrize("command", ["reduce", "tail"])
-    def test_power_dbm_refused_on_sectored_tier(self, capsys, tmp_path, command):
-        # a sectored tier is heard at its sector gain, so its power is unused
-        path = tmp_path / "sectored.json"
-        path.write_text(json.dumps({
-            "dimension": 2, "epsilon": 4.0, "noise": 1.0e-9,
-            "tiers": [{"density": 1.0, "power": 10.0,
-                       "sector": {"gain": 20.0, "beamwidth_deg": 120.0}}],
-        }))
-        extra = (["--json"] if command == "reduce" else
-                 ["--metric", "ci", "--method", "exact", "--etas", "1",
-                  "--out", tmp_path / "tail.csv"])
-        code, out, err = run(capsys, command, path, *extra, "--power-dbm", "60")
-        assert code == 2 and out == ""
-        assert "sector gain" in err and "--power-dbm" in err
-        assert list(tmp_path.iterdir()) == [path]
+    @pytest.mark.parametrize("flag", ["--sigma-db", "--noise-dbm", "--power-dbm"])
+    def test_spec_fields_have_no_override_flags(self, capsys, spec_path, command, flag):
+        # the spec file, whose digest the manifest records, is the whole network
+        extra = [] if command == "reduce" else [
+            "--metric", "ci", "--method", "exact", "--etas", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(spec_path), *extra, flag, "0"])
+        assert exc.value.code == 2
 
 
 class TestTail:
@@ -350,3 +328,53 @@ class TestFigures:
             for (t1, h1) in pts:
                 for (t2, h2) in pts:
                     assert abs(t1 - t2) <= math.hypot(h1, h2) + 1e-12
+
+
+class TestManifestContract:
+    """The args a manifest records rebuild a command that rewrites its data."""
+
+    FLAGS = {"tail": ("metric", "method", "etas", "n", "seed"),
+             "table": ("l", "epsilons", "nprimes", "etas"),
+             "figures": ("which", "n", "seed")}
+
+    def rerun(self, capsys, out, fresh):
+        manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+        args = manifest["args"]
+        argv = [manifest["command"]]
+        if "spec" in args:
+            digest = hashlib.sha256(Path(args["spec"]).read_bytes()).hexdigest()
+            assert digest == args["spec_sha256"]
+            argv.append(args["spec"])
+        for key in self.FLAGS[manifest["command"]]:
+            if key in args:
+                val = args[key]
+                argv += [f"--{key}",
+                         ",".join(map(repr, val)) if isinstance(val, list) else val]
+        code, _, _ = run(capsys, *argv, *self.out_flags(argv[0], fresh, out.name))
+        assert code == 0
+        return fresh / out.name
+
+    @staticmethod
+    def out_flags(command, directory, name):
+        return ["--out-dir", directory] if command == "figures" else [
+            "--out", directory / name]
+
+    @pytest.mark.parametrize("argv, name", [
+        (["tail", "SPEC", "--metric", "cin", "--method", "exact",
+          "--etas", "0.5,1,2"], "tail.csv"),
+        (["tail", "SPEC", "--metric", "ci", "--method", "mc", "--etas", "0.5,1",
+          "--n", "5000", "--seed", "9"], "tail.csv"),
+        (["table", "--l", "2", "--epsilons", "4.0", "--nprime-range", "0.01", "1", "4",
+          "--etas", "0.5,2"], "table.csv"),
+        (["figures", "--which", "fig2"], "fig2_fewbs_comparison.csv"),
+    ], ids=["tail_exact", "tail_mc", "table_nprime_range", "figures_fig2"])
+    def test_recorded_args_reproduce_the_bytes(self, capsys, spec_path, tmp_path,
+                                               argv, name):
+        first, fresh = tmp_path / "first", tmp_path / "fresh"
+        first.mkdir()
+        fresh.mkdir()
+        argv = [spec_path if a == "SPEC" else a for a in argv]
+        code, _, _ = run(capsys, *argv, *self.out_flags(argv[0], first, name))
+        assert code == 0
+        again = self.rerun(capsys, first / name, fresh)
+        assert again.read_bytes() == (first / name).read_bytes()
