@@ -20,54 +20,8 @@ canonical unit-density system that all analytic machinery consumes, and
 
 __version__ = "0.1.0"
 
-from .network import (  # noqa: F401
-    CanonicalSystem,
-    DegenerateNetworkError,
-    Dimension,
-    Fading,
-    LogNormalFading,
-    MomentFading,
-    NetworkSpec,
-    NoFading,
-    Reduction,
-    Sector,
-    SpecError,
-    Tier,
-    as_network_spec,
-    canonicalize,
-    heard_tiers,
-    load_spec,
-    noise_after_adding_tiers,
-    reduce_network,
-    sigma_db_to_natural,
-    spec_from_json,
-)
-from .numerics import (  # noqa: F401
-    InversionError,
-    QuadratureResult,
-    g_integral,
-    invert_tail,
-    kummer_1f1_neg_a,
-)
-from .analytic import (  # noqa: F401
-    LookupRangeError,
-    LookupTable,
-    build_lookup_table,
-    charfn_inv_ci,
-    charfn_inv_cin,
-    lookup,
-    tail_ci,
-    tail_ci2,
-    tail_ci_closed,
-    tail_cin,
-    tail_cin_closed,
-)
-from .montecarlo import (  # noqa: F401
-    EmpiricalTail,
-    UnsupportedSettingError,
-    default_r_max,
-    empirical_tail_ci,
-    empirical_tail_cin,
-    empirical_tail_fewbs,
-    substream,
-)
+# Each module's __all__ is its public API; the package republishes them all.
+from .network import *  # noqa: F401,F403
+from .numerics import *  # noqa: F401,F403
+from .analytic import *  # noqa: F401,F403
+from .montecarlo import *  # noqa: F401,F403

@@ -40,6 +40,7 @@ from .numerics import (
     InversionError,
     check_ratio,
     g_integral,
+    gauss_legendre_panels,
     invert_tail,
     kummer_1f1_neg_a,
 )
@@ -90,13 +91,8 @@ def _noise_scale(canon: CanonicalSystem) -> float:
 
 # Relative panel layout for the rotated-ray integral, shared by every omega:
 # geometric panels of [0, 1] refined toward 0, 16-point Gauss each.
-_RAY_EDGES = np.concatenate([[0.0], np.geomspace(1e-4, 1.0, 24)])
-_GL_N, _GL_W = np.polynomial.legendre.leggauss(16)
-_RAY_U = (
-    0.5 * (_RAY_EDGES[1:] + _RAY_EDGES[:-1])[:, None]
-    + 0.5 * np.diff(_RAY_EDGES)[:, None] * _GL_N[None, :]
-).ravel()
-_RAY_W = (0.5 * np.diff(_RAY_EDGES)[:, None] * _GL_W[None, :]).ravel()
+_RAY_U, _RAY_W = gauss_legendre_panels(
+    np.concatenate([[0.0], np.geomspace(1e-4, 1.0, 24)]))
 _RAY_SPAN = 60.0  # e-foldings of decay covered along the ray
 
 
@@ -297,15 +293,11 @@ def tail_cin(canon: CanonicalSystem, eta: float, *, tol: float = 1e-5) -> float:
         return 1.0
     if eta >= 1.0:
         return tail_cin_closed(canon, eta, tol=tol)
-    if canon.nprime == 0.0:
-        # C/I: charfn_inv_ci's exponent is 1/ratio; log N' is undefined
-        a, char_scale = 1.0 / canon.ratio, 1.0
-        charfn = functools.partial(charfn_inv_ci, canon.ratio)
-    else:
-        a, char_scale = canon.a, _cin_char_scale(canon)
-        charfn = functools.partial(charfn_inv_cin, canon)
-    res = invert_tail(charfn, eta, p=a, damping=_noise_damping(canon)[0],
-                      tol=tol, char_scale=char_scale)
+    charfn = (functools.partial(charfn_inv_ci, canon.ratio) if canon.nprime == 0.0
+              else functools.partial(charfn_inv_cin, canon))
+    res = invert_tail(charfn, eta, p=1.0 / canon.ratio,
+                      damping=_noise_damping(canon)[0], tol=tol,
+                      char_scale=_cin_char_scale(canon))
     return min(1.0, max(0.0, res.value))
 
 

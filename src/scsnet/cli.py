@@ -161,14 +161,8 @@ def cmd_table(args) -> int:
     started = time.monotonic()
     d_eps, d_npr, d_eta = default_table_grids(args.l)
     epsilons = _parse_floats(args.epsilons) if args.epsilons else list(d_eps)
+    nprimes = _parse_floats(args.nprimes) if args.nprimes else list(d_npr)
     etas = _parse_floats(args.etas) if args.etas else list(d_eta)
-    if args.nprimes:
-        nprimes = _parse_floats(args.nprimes)
-    elif args.nprime_range:
-        lo, hi, count = args.nprime_range
-        nprimes = list(np.logspace(np.log10(lo), np.log10(hi), int(count)))
-    else:
-        nprimes = list(d_npr)
     table = build_lookup_table(args.l, epsilons, nprimes, etas)
     out = Path(args.out)
     table.to_csv(out)
@@ -256,9 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--l", type=int, default=2, choices=(1, 2, 3))
     pb.add_argument("--epsilons", help="comma-separated path-loss exponents")
     pb.add_argument("--nprimes", help="comma-separated N' grid")
-    pb.add_argument("--nprime-range", nargs=3, type=float,
-                    metavar=("LO", "HI", "COUNT"),
-                    help="log-spaced N' grid from LO to HI")
     pb.add_argument("--etas", help="comma-separated thresholds")
     pb.add_argument("--out", type=Path, required=True)
     pb.set_defaults(fn=cmd_table)

@@ -22,7 +22,9 @@ Three numerical primitives live here:
   Gamma(1-p)^2, oscillating as e^{iw}.  Beyond a cutoff Omega the envelope's
   tail is subtracted exactly and the remainder's bounded; Omega climbs a
   geometric ladder until the bound meets tol/2, within a fixed evaluation
-  budget, past which InversionError carries the partial value.
+  budget.  A bound that cannot meet tol within the budget is refused
+  before the charfn is evaluated; any other miss of tol raises
+  InversionError carrying the partial value.
 
 Everything is a pure function; no global mutable state.
 """
@@ -191,6 +193,13 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _GRADING = 12  # halvings of the first panel toward w = 0
 
 
+def gauss_legendre_panels(edges):
+    """16-point Gauss-Legendre nodes and weights on each panel, flattened."""
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    half = 0.5 * np.diff(edges)[:, None]
+    return (mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
+
+
 def _integrate_panels(charfn, x, hi, panel_w):
     """Gauss-Legendre panels for int_0^hi Re[phi(w) (1 - e^{-iwx})/(iw)] dw.
 
@@ -201,17 +210,13 @@ def _integrate_panels(charfn, x, hi, panel_w):
     """
     n_panels = max(1, int(math.ceil(hi / panel_w)))
     edges = np.linspace(0.0, hi, n_panels + 1)
-    edges = np.concatenate([[0.0], edges[1] * 0.5 ** np.arange(_GRADING, 0, -1),
-                            edges[1:]])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+    nodes, weights = gauss_legendre_panels(np.concatenate(
+        [[0.0], edges[1] * 0.5 ** np.arange(_GRADING, 0, -1), edges[1:]]))
     # Gauss nodes are interior, so the kernel never meets w = 0
     kernel = -np.expm1(-1j * x * nodes) / (1j * nodes)
     vals = np.real(np.asarray(charfn(nodes)) * kernel)
     # an elementwise sum: `@` hands large products to BLAS threads
-    total = float(np.sum(vals.reshape(half.size, -1) * _GL_WEIGHTS * half[:, None]))
-    return total, nodes.size
+    return float(np.sum(vals * weights)), nodes.size
 
 
 def _envelope_tail(Omega, x, p, A):
@@ -270,11 +275,12 @@ def invert_tail(
     cover [0, Omega]; the envelope's tail beyond Omega is subtracted exactly
     (_envelope_tail) and R's is bounded (_remainder_bound).  Omega is the
     first rung of 30 * 1.4^k whose bound is within tol/2.  The error
-    estimate is that bound plus 1e-13 of the panel sum.  Raises
-    InversionError, carrying the value at the largest affordable Omega, if
-    the estimate exceeds ``tol`` once Omega reaches _MAX_EVALS evaluations
-    or the value is not finite (an overflowing charfn), and before any
-    evaluation if even Omega = 30 exceeds them.
+    estimate is that bound plus 1e-13 of the panel sum.  InversionError is
+    raised before any evaluation, with a NaN partial value and the bound as
+    its estimate, if even Omega = 30 needs over _MAX_EVALS evaluations or
+    the bound at the largest affordable Omega exceeds ``tol``; afterwards,
+    carrying the value, if the estimate exceeds ``tol`` or the value is not
+    finite (an overflowing charfn).
     """
     if not (eta > 0):
         raise ValueError(f"eta must be > 0 for inversion, got {eta}; "
@@ -289,15 +295,16 @@ def invert_tail(
     x = 1.0 / eta
     panel_w = math.pi / (char_scale + x)
     Omega, Omega_max = 30.0, (_MAX_EVALS // 16 - _GRADING - 1) * panel_w
-    if Omega > Omega_max:
-        raise InversionError(f"char_scale {char_scale:.3g} needs more than "
-                             f"{_MAX_EVALS} evaluations", math.nan, math.inf, 0)
-    while (_remainder_bound(Omega, x, p) / math.pi > tol / 2.0
+    while ((bound := _remainder_bound(Omega, x, p) / math.pi) > tol / 2.0
            and 1.4 * Omega <= Omega_max):
         Omega *= 1.4
+    if Omega > Omega_max or bound > tol:
+        raise InversionError(f"char_scale {char_scale:.3g} and tol {tol:.2e} "
+                             f"need more than {_MAX_EVALS} evaluations",
+                             math.nan, bound, 0)
     core, evals = _integrate_panels(charfn, x, Omega, panel_w)
     value = (core + _envelope_tail(Omega, x, p, A)) / math.pi
-    err = _remainder_bound(Omega, x, p) / math.pi + 1e-13 * max(1.0, abs(core))
+    err = bound + 1e-13 * max(1.0, abs(core))
     if not (err <= tol and math.isfinite(value)):
         raise InversionError(f"tail inversion gave {value:.6g}, estimated error "
                              f"{err:.2e} against tol {tol:.2e}", value, err, evals)

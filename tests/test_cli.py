@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from scsnet import LookupTable, canonicalize, default_r_max, load_spec, tail_cin
+from scsnet import canonicalize, default_r_max, load_spec, tail_cin
 from scsnet.cli import main
 
 
@@ -257,15 +257,13 @@ class TestTableAndLookup:
         assert "SCS_THREADS" in err
         assert list(tmp_path.iterdir()) == []
 
-    def test_nprime_range_table_reloads(self, capsys, tmp_path):
-        # the log-spaced grid is numpy floats, which must be written as plain reprs
-        table = tmp_path / "table.csv"
-        code, _, _ = run(capsys, "table", "--l", "2", "--epsilons", "4.0",
-                         "--nprime-range", "0.01", "1", "3", "--etas", "1.0",
-                         "--out", table)
-        assert code == 0
-        back = LookupTable.from_csv(table)
-        assert back.nprimes == pytest.approx((0.01, 0.1, 1.0), rel=1e-14)
+    def test_nprime_range_is_not_an_option(self, capsys, tmp_path):
+        # the default N' grid is the one log-spaced grid; others go in --nprimes
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--nprime-range", "1e-6", "1e2", "33",
+                  "--out", str(tmp_path / "table.csv")])
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_out_of_hull_is_error(self, capsys, spec_path, tmp_path):
         table = tmp_path / "table.csv"
@@ -364,10 +362,10 @@ class TestManifestContract:
           "--etas", "0.5,1,2"], "tail.csv"),
         (["tail", "SPEC", "--metric", "ci", "--method", "mc", "--etas", "0.5,1",
           "--n", "5000", "--seed", "9"], "tail.csv"),
-        (["table", "--l", "2", "--epsilons", "4.0", "--nprime-range", "0.01", "1", "4",
-          "--etas", "0.5,2"], "table.csv"),
+        # the default N' grid is recorded in the manifest and passed back as --nprimes
+        (["table", "--l", "2", "--epsilons", "4.0", "--etas", "2"], "table.csv"),
         (["figures", "--which", "fig2"], "fig2_fewbs_comparison.csv"),
-    ], ids=["tail_exact", "tail_mc", "table_nprime_range", "figures_fig2"])
+    ], ids=["tail_exact", "tail_mc", "table_default_nprimes", "figures_fig2"])
     def test_recorded_args_reproduce_the_bytes(self, capsys, spec_path, tmp_path,
                                                argv, name):
         first, fresh = tmp_path / "first", tmp_path / "fresh"

@@ -182,24 +182,37 @@ class TestInvertTail:
         assert 0.0 <= tail_ci(4.0, 0.1) <= 1.0
 
     def test_budget_error_carries_partial(self):
-        # the 1e-13 rounding allowance alone exceeds tol: Omega climbs to
-        # the evaluation budget, and the value there travels in the error
+        # the remainder bound (3.5e-14) meets tol, but the 1e-13 rounding
+        # allowance lifts the estimate past it: the value travels in the error
         with pytest.raises(InversionError) as exc:
-            invert_tail(inv_ci, 0.5, tol=1e-15, p=0.5)
+            invert_tail(inv_ci, 0.5, tol=1e-13, p=0.5)
         # mpmath Gil-Pelaez value of P(C/I > 0.5) at eps/l = 2
         assert exc.value.partial_value == pytest.approx(0.845702973762835, abs=1e-9)
-        assert exc.value.error_estimate > 0
-        assert exc.value.evaluations <= _MAX_EVALS
+        assert exc.value.error_estimate > 1e-13
+        assert 0 < exc.value.evaluations <= _MAX_EVALS
 
     def test_unaffordable_panels_fail_before_evaluating(self):
         def never(w):
             raise AssertionError("charfn evaluated")
 
-        with pytest.raises(InversionError):
-            invert_tail(never, 0.5, p=0.5, char_scale=1e9)
+        def refused(call):
+            with pytest.raises(InversionError) as exc:
+                call()
+            assert exc.value.evaluations == 0
+            assert math.isnan(exc.value.partial_value)
+
+        refused(lambda: invert_tail(never, 0.5, p=0.5, char_scale=1e9))
+        # the bound at the largest affordable Omega is 1.7e-15 > 1e-15
+        refused(lambda: invert_tail(never, 0.5, p=0.5, tol=1e-15))
         # N' = 1e10 puts the noise phase at ~1e10 per unit omega
-        with pytest.raises(InversionError):
-            tail_cin(CanonicalSystem(dim=Dimension(2), epsilon=4.0, nprime=1e10), 0.5)
+        refused(lambda: tail_cin(
+            CanonicalSystem(dim=Dimension(2), epsilon=4.0, nprime=1e10), 0.5))
+        # N' = 3e4: Omega = 30 is the only affordable cutoff, bound 3.2e-5
+        refused(lambda: tail_cin(
+            CanonicalSystem(dim=Dimension(2), epsilon=4.0, nprime=3e4), 0.99))
+        refused(lambda: tail_cin(CanonicalSystem(
+            dim=Dimension(1), epsilon=6.656231078410055, nprime=54.1521322481172),
+            1 - 1e-12))
 
     def test_eta_zero_is_callers_branch(self):
         with pytest.raises(ValueError):
