@@ -26,6 +26,7 @@ unlike C/I; the canonical system carries that information.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -330,13 +331,9 @@ class LookupTable:
         """Write `l,epsilon,nprime,eta,tail` rows at full float precision."""
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("l,epsilon,nprime,eta,tail\n")
-            for i, eps in enumerate(self.epsilons):
-                for j, npr in enumerate(self.nprimes):
-                    for k, eta in enumerate(self.etas):
-                        fh.write(
-                            f"{self.l},{eps!r},{npr!r},{eta!r},"
-                            f"{float(self.values[i, j, k])!r}\n"
-                        )
+            cells = itertools.product(self.epsilons, self.nprimes, self.etas)
+            for (eps, npr, eta), tail in zip(cells, self.values.ravel()):
+                fh.write(f"{self.l},{eps!r},{npr!r},{eta!r},{float(tail)!r}\n")
 
     @classmethod
     def from_csv(cls, path) -> "LookupTable":
@@ -412,23 +409,18 @@ def build_lookup_table(l: int, epsilon_grid: Sequence[float],
     The grids are checked as LookupTable checks them, before any cell is
     computed, and so is SCS_THREADS (table_threads): the (epsilon, N') rows
     are independent and always run on a pool of that many threads, 1 by
-    default.  Results land by index, so the output is identical for any
-    thread count.
+    default.  pool.map keeps the systems' row-major (epsilon, N') order, so
+    the output is identical for any thread count.
     """
     dim = Dimension(l)
     grids = _grids(l, epsilon_grid, nprime_grid, eta_grid)
     epsilons, nprimes, etas = grids.values()
-    values = np.empty((len(epsilons), len(nprimes), len(etas)))
-
-    def cell(ij):
-        i, j = ij
-        canon = CanonicalSystem(dim=dim, epsilon=epsilons[i], nprime=nprimes[j])
-        return [tail_cin(canon, eta) for eta in etas]
-
-    pairs = [(i, j) for i in range(len(epsilons)) for j in range(len(nprimes))]
+    systems = [CanonicalSystem(dim=dim, epsilon=eps, nprime=npr)
+               for eps in epsilons for npr in nprimes]
     with ThreadPoolExecutor(max_workers=table_threads()) as pool:
-        for (i, j), row in zip(pairs, pool.map(cell, pairs)):
-            values[i, j, :] = row
+        rows = list(pool.map(lambda canon: [tail_cin(canon, eta) for eta in etas],
+                             systems))
+    values = np.reshape(rows, (len(epsilons), len(nprimes), len(etas)))
     return LookupTable(l=l, values=values, **grids)
 
 

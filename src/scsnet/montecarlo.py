@@ -21,6 +21,7 @@ the sequential output exactly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple
 
@@ -121,6 +122,7 @@ def _tier_points(rng, rows: int, mu: float):
     return counts, 1.0 - rng.random(int(counts.sum()))
 
 
+@np.errstate(over="raise", invalid="raise")
 def _block_ps_pi(spec: NetworkSpec, r_max: float, rows: int, rng):
     """(p_s, p_i, accepted mask) for a block of realizations.
 
@@ -173,27 +175,39 @@ def _simulate_blocks(spec: NetworkSpec, r_max: float, n: int, seed: int,
     Degenerate rows (no positive received power within r_max) are redrawn
     from the continuation of the same substream, so acceptance conditioning
     is explicit and the whole stream stays a pure function of (seed, spec).
-    A field with no audible station, or whose block would expect more than
-    _MAX_BLOCK_STATIONS stations, is refused before any draw.
+    A field with no audible station, a tier whose power scale P r_max^-eps is
+    not a normal float (all-zero rows would be redrawn forever), or a block
+    expecting over _MAX_BLOCK_STATIONS stations is refused before any draw.
     """
-    if not heard_tiers(spec):
+    if not (heard := heard_tiers(spec)):
         raise UnsupportedSettingError("no station can be heard: every tier has power 0")
+    try:  # each tier's power scale, as _block_ps_pi computes it
+        gains = [power * r_max ** (-spec.epsilon) for _, power in heard]
+    except OverflowError:
+        gains = [math.inf]
+    if not sys.float_info.min <= min(gains) <= max(gains) < math.inf:
+        raise UnsupportedSettingError(f"received power P r_max^-eps at r_max="
+                                      f"{r_max:.6g} is outside the normal float range")
     rows = min(BLOCK_SIZE, n)
     stations = rows * _stations_per_row(spec, r_max)
     if stations > _MAX_BLOCK_STATIONS:
         raise UnsupportedSettingError(
             f"r_max={r_max:.6g} expects {stations:.3g} stations in a block of {rows}"
             f" rows, above the limit of {_MAX_BLOCK_STATIONS}; pass a smaller r_max")
-    for rows, rng in _blocks(n, seed, stream_base):
-        p_s, p_i, ok = _block_ps_pi(spec, r_max, rows, rng)
-        rejected = 0
-        while not ok.all():
-            bad = ~ok
-            rejected += int(bad.sum())
-            ps2, pi2, ok2 = _block_ps_pi(spec, r_max, int(bad.sum()), rng)
-            p_s[bad], p_i[bad] = ps2, pi2
-            ok[bad] = ok2
-        yield p_s, p_i, rejected
+    try:
+        for rows, rng in _blocks(n, seed, stream_base):
+            p_s, p_i, ok = _block_ps_pi(spec, r_max, rows, rng)
+            rejected = 0
+            while not ok.all():
+                bad = ~ok
+                rejected += int(bad.sum())
+                ps2, pi2, ok2 = _block_ps_pi(spec, r_max, int(bad.sum()), rng)
+                p_s[bad], p_i[bad] = ps2, pi2
+                ok[bad] = ok2
+            yield p_s, p_i, rejected
+    except FloatingPointError as exc:
+        raise UnsupportedSettingError(
+            f"received powers at r_max={r_max:.6g} overflow the float range") from exc
 
 
 def default_r_max(spec: NetworkSpec, *, seed: int = 0) -> float:
@@ -216,6 +230,9 @@ def default_r_max(spec: NetworkSpec, *, seed: int = 0) -> float:
     # the pilot has refused MomentFading, whose moment(2) is not E[Psi^2]
     c = math.sqrt(sum(lam * p * p for lam, p in heard_tiers(spec))
                   * spec.fading.moment(2.0) * b / (2.0 * eps - l))
+    for name, x in (("pilot median interference", typical), ("far-field scale c", c)):
+        if not 0.0 < x < math.inf:
+            raise UnsupportedSettingError(f"{name}={x:.3g} is out of float range")
     r = (_FAR_FIELD_SD_FRACTION * typical / c) ** (1.0 / (0.5 * l - eps))
     return max(r, (20.0 / _stations_per_row(spec, 1.0)) ** (1.0 / l))
 

@@ -69,7 +69,7 @@ class SpecError(ValueError):
 
 
 class DegenerateNetworkError(ValueError):
-    """The reduced network has zero effective density (no transmit power)."""
+    """The effective density is 0 (no transmit power) or outside the float range."""
 
 
 @dataclass(frozen=True)
@@ -270,8 +270,8 @@ def reduce_network(spec: NetworkSpec) -> Reduction:
 
     N' = N * lambda_eff^(-eps/l) with
     lambda_eff = sum_i lambda'_i P_i^(l/eps) * E[Psi^(l/eps)] over the heard
-    tiers.  A network with no heard tier is rejected rather than mapped to
-    N' = infinity.
+    tiers; N' = 0 without noise.  A network with no heard tier, or a
+    lambda_eff of 0 or inf, is rejected rather than mapped to N' = infinity.
     """
     a = spec.a
     heard = heard_tiers(spec)
@@ -280,7 +280,12 @@ def reduce_network(spec: NetworkSpec) -> Reduction:
     lam_unfaded = sum(lam * p**a for lam, p in heard)
     psi_moment = spec.fading.moment(a)
     lam_eff = lam_unfaded * psi_moment
-    nprime = spec.noise * lam_eff ** (-spec.epsilon / spec.dim.l)
+    if not 0.0 < lam_eff < math.inf:
+        raise DegenerateNetworkError(f"lambda_eff={lam_eff} is outside the float range")
+    try:
+        nprime = spec.noise and spec.noise * lam_eff ** (-spec.epsilon / spec.dim.l)
+    except OverflowError:
+        nprime = math.inf  # refused by CanonicalSystem, naming nprime
     canon = CanonicalSystem(dim=spec.dim, epsilon=spec.epsilon, nprime=nprime)
     return Reduction(lam_unfaded / spec.total_density, psi_moment, lam_eff, canon)
 

@@ -119,6 +119,26 @@ class TestTail:
         assert code == 2
         assert "valid pairs" in err
 
+    @pytest.mark.parametrize("method", ["exact", "fewbs", "mc"])
+    @pytest.mark.parametrize("metric", ["ci", "cin"])
+    def test_every_pair_writes_its_method(self, capsys, spec_path, tmp_path,
+                                          metric, method):
+        out = tmp_path / "t.csv"
+        code, _, err = run(capsys, "tail", spec_path, "--metric", metric,
+                           "--method", method, "--etas", "0.5,2", "--n", "2000",
+                           "--out", out)
+        if (metric, method) == ("cin", "fewbs"):
+            assert code == 2
+            assert err == ("usage error: metric/method cin/fewbs is not supported;"
+                           " valid pairs: ci/exact, ci/fewbs, ci/mc, cin/exact,"
+                           " cin/mc\n")
+            assert list(tmp_path.iterdir()) == [spec_path]
+            return
+        assert code == 0
+        want = f"mc-{metric}" if method == "mc" else method
+        rows = out.read_text().splitlines()[1:]
+        assert [r.split(",")[-1] for r in rows] == [want, want]
+
     def test_lookup_is_not_a_tail_method(self, capsys, spec_path, tmp_path):
         # stored tables are read by `scs lookup`
         with pytest.raises(SystemExit) as exc:
