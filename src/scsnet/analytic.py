@@ -95,6 +95,7 @@ def _noise_scale(canon: CanonicalSystem) -> float:
 _RAY_U, _RAY_W = gauss_legendre_panels(
     np.concatenate([[0.0], np.geomspace(1e-4, 1.0, 24)]))
 _RAY_SPAN = 60.0  # e-foldings of decay covered along the ray
+_RAY_ARG_MAX = 0.4 * math.pi  # cap on arg(e^{i psi} F), never met at eps/l >= 1.25
 
 
 def charfn_inv_cin(canon: CanonicalSystem, omega):
@@ -111,10 +112,12 @@ def charfn_inv_cin(canon: CanonicalSystem, omega):
     exponential factors decay inside the sector 0 < arg t < a*pi/2 (Re(tF) > 0
     there because arg F lies in (-a*pi/2, 0], and Re(i w (..)^(eps/l) t^(eps/l))
     <= 0 up to arg t = a*pi), so the contour is rotated to the ray
-    t = L u e^{i a pi/2}, u in [0, 1], L = 60 / Re(e^{i a pi/2} F).  Since
-    a * eps/l = 1, t^(eps/l) = i (L u)^(eps/l) there: the noise phase is the
-    real decay -w (g L)^(eps/l) u^(eps/l), g = _noise_scale(canon), and the
-    exponent is real outer products plus i times -L Im(e^{i a pi/2} F) u.
+    t = L u e^{i psi}, u in [0, 1], L = 60 / Re(e^{i psi} F), psi = a*pi/2.
+    There t^(eps/l) = i (L u)^(eps/l): the noise phase is the real decay
+    -w (g L)^(eps/l) u^(eps/l), g = _noise_scale(canon), and the exponent is
+    real outer products plus i times -L Im(e^{i psi} F) u.  That last factor
+    turns 60 tan(psi + arg F) radians, which near eps/l = 1 and at small w
+    outruns the panels, so there psi is capped at _RAY_ARG_MAX - arg F.
     """
     a, rho = canon.a, canon.ratio
     g = _noise_scale(canon)
@@ -125,18 +128,25 @@ def charfn_inv_cin(canon: CanonicalSystem, omega):
     zero = w1 == 0.0
     out[zero] = 1.0
     wa = np.abs(w1[~zero])
-    ray = complex(np.exp(1j * a * math.pi / 2))
+    psi_max = a * math.pi / 2
     u_rho = _RAY_U**rho
     vals = np.empty(wa.shape, dtype=complex)
     # chunk the omega axis: each chunk builds an (n_w, n_t) node matrix
     for lo in range(0, wa.size, 2048):
         wc = wa[lo:lo + 2048]
-        rF = ray * np.atleast_1d(kummer_1f1_neg_a(a, wc))
+        F = np.atleast_1d(kummer_1f1_neg_a(a, wc))
+        psi = np.minimum(psi_max, _RAY_ARG_MAX - np.angle(F))
+        capped, ray = psi < psi_max, np.exp(1j * psi)
+        rF = ray * F
         L = _RAY_SPAN / rF.real
+        decay = wc * (g * L)**rho * np.where(capped, np.sin(rho * psi), 1.0)
         phase = np.empty((wc.size, _RAY_U.size), dtype=complex)
-        np.multiply.outer(-wc * (g * L)**rho, u_rho, out=phase.real)
+        np.multiply.outer(-decay, u_rho, out=phase.real)
         phase.real -= _RAY_SPAN * _RAY_U
         np.multiply.outer(-L * rF.imag, _RAY_U, out=phase.imag)
+        # a capped ray's noise phase has the imaginary part w (g L u)^rho cos(rho psi)
+        phase.imag[capped] += np.multiply.outer(
+            decay[capped] / np.tan(rho * psi[capped]), u_rho)
         # weight in place and sum rows: `@` would hand this to BLAS threads
         np.multiply(np.exp(phase, out=phase), _RAY_W, out=phase)
         vals[lo:lo + 2048] = phase.sum(axis=1) * ray * L
@@ -337,33 +347,26 @@ class LookupTable:
 
     @classmethod
     def from_csv(cls, path) -> "LookupTable":
-        """Reload a table written by to_csv; the round trip is exact."""
-        rows = []
+        """Reload a table written by to_csv, in its layout: each cell of the
+        sorted grids once, in itertools.product order.  The round trip is exact."""
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
             if header != "l,epsilon,nprime,eta,tail":
                 raise ValueError(f"unexpected lookup-table header: {header!r}")
-            for line in fh:
-                l_s, eps_s, npr_s, eta_s, tail_s = line.strip().split(",")
-                rows.append((int(l_s), float(eps_s), float(npr_s),
-                             float(eta_s), float(tail_s)))
-        if not rows:
-            raise ValueError("empty lookup table")
-        ls = {r[0] for r in rows}
+            rows = [(int(l_s), float(eps), float(npr), float(eta), float(tail))
+                    for l_s, eps, npr, eta, tail in (line.split(",") for line in fh)]
+        ls, *grids = [tuple(sorted({r[c] for r in rows})) for c in range(4)]
         if len(ls) != 1:
-            raise ValueError("lookup table must describe a single dimension")
-        grids = [tuple(sorted({r[c] for r in rows})) for c in (1, 2, 3)]
-        index = [{x: i for i, x in enumerate(g)} for g in grids]
-        values = np.full(tuple(map(len, grids)), np.nan)
-        for l_, eps, npr, eta, tail in rows:
-            cell = tuple(ix[x] for ix, x in zip(index, (eps, npr, eta)))
-            if not np.isnan(values[cell]):
-                raise ValueError(f"lookup table lists the cell epsilon={eps!r},"
-                                 f" nprime={npr!r}, eta={eta!r} twice")
-            values[cell] = tail
-        if np.any(np.isnan(values)):
-            raise ValueError("lookup table grid is not complete")
-        return cls(ls.pop(), *grids, values)
+            raise ValueError(f"lookup table must have one l, got {list(ls)}")
+        cells = itertools.product(*grids)
+        for k, (row, cell) in enumerate(itertools.zip_longest(rows, cells), 2):
+            if row is None:
+                raise ValueError("lookup table grid is not complete")
+            if row[1:4] != cell:
+                raise ValueError("lookup table line {} lists epsilon={!r}, nprime={!r}, "
+                                 "eta={!r} twice or out of order".format(k, *row[1:4]))
+        return cls(ls[0], *grids, np.reshape([r[4] for r in rows],
+                                                tuple(map(len, grids))))
 
 
 def _grids(l: int, epsilons, nprimes, etas):
@@ -428,17 +431,15 @@ def lookup(table: LookupTable, spec: NetworkSpec, eta: float) -> float:
     """Read the C/(I+N) tail for a full network spec out of the table.
 
     The spec is first reduced to (epsilon, N'); the value is bilinearly
-    interpolated in (epsilon, log N') at the requested eta, which must be a
-    grid value.  Queries outside the grid hull raise rather than extrapolate.
+    interpolated in (epsilon, log N') at the requested eta, which must be in
+    table.etas.  Queries outside the grid hull raise rather than extrapolate.
     """
     canon = canonicalize(spec)
     if canon.dim.l != table.l:
         raise LookupRangeError(
             f"table is for l={table.l}, spec has l={canon.dim.l}"
         )
-    eta_idx = next((k for k, e in enumerate(table.etas)
-                    if math.isclose(eta, e, rel_tol=1e-12, abs_tol=0.0)), None)
-    if eta_idx is None:
+    if eta not in table.etas:
         raise LookupRangeError(f"eta={eta} is not a grid value of the table")
     eps, npr = canon.epsilon, canon.nprime
     eps_g, npr_g = table.epsilons, table.nprimes
@@ -451,5 +452,6 @@ def lookup(table: LookupTable, spec: NetworkSpec, eta: float) -> float:
     # bilinear is separable: along log N' in each epsilon row, then across
     # epsilon; one log for query and grid keeps grid points exact
     log_npr = [math.log(x) for x in npr_g]
-    rows = [np.interp(math.log(npr), log_npr, r) for r in table.values[:, :, eta_idx]]
+    rows = [np.interp(math.log(npr), log_npr, r)
+            for r in table.values[:, :, table.etas.index(eta)]]
     return float(np.interp(eps, eps_g, rows))

@@ -9,7 +9,7 @@ scs tail SPEC.json --metric {ci,cin} --method {exact,fewbs,mc} ...
 scs table --l L --epsilons ... --nprimes ... --etas ... --out FILE
     Tabulate C/(I+N') tails over a grid.
 scs lookup --table FILE SPEC.json --eta ETA
-    Reduce the spec and read the tail out of a stored table.
+    Reduce the spec; print the tail read out of a stored table as JSON.
 scs figures --which {fig1,fig2,fig3} --out-dir DIR
     Regenerate the density-invariance, strongest-two comparison and
     noise-table data sets as plot-ready CSV files.
@@ -151,16 +151,10 @@ def cmd_table(args) -> int:
 
 
 def cmd_lookup(args) -> int:
-    table = LookupTable.from_csv(args.table)
-    spec = load_spec(args.spec)
-    value = lookup(table, spec, args.eta)
-    if args.json:
-        canon = canonicalize(spec)
-        print(json.dumps({"eta": args.eta, "tail": value,
-                          "epsilon": canon.epsilon, "nprime": canon.nprime},
-                         sort_keys=True))
-    else:
-        print(repr(value))
+    table, spec = LookupTable.from_csv(args.table), load_spec(args.spec)
+    value, canon = lookup(table, spec, args.eta), canonicalize(spec)
+    print(json.dumps({"eta": args.eta, "tail": value, "epsilon": canon.epsilon,
+                      "nprime": canon.nprime}, sort_keys=True))
     return 0
 
 
@@ -235,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("spec", type=Path)
     pl.add_argument("--table", type=Path, required=True)
     pl.add_argument("--eta", type=float, required=True)
-    pl.add_argument("--json", action="store_true")
     pl.set_defaults(fn=cmd_lookup)
 
     pf = sub.add_parser("figures", help="regenerate plot-ready data sets")

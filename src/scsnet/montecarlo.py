@@ -108,8 +108,10 @@ def _far_field_mean(spec: NetworkSpec, r_max: float) -> float:
 
 def _stations_per_row(spec: NetworkSpec, r_max: float) -> float:
     """Expected heard stations within r_max, sum_i lambda'_i b r_max^l / l."""
+    if not (heard := heard_tiers(spec)):
+        raise UnsupportedSettingError("no station can be heard: every tier has power 0")
     with np.errstate(over="ignore"):  # inf for a radius past float range
-        lam = sum(lam for lam, _ in heard_tiers(spec))
+        lam = sum(lam for lam, _ in heard)
         return float(lam * spec.dim.b / spec.dim.l * np.float64(r_max)**spec.dim.l)
 
 
@@ -137,16 +139,14 @@ def _block_ps_pi(spec: NetworkSpec, r_max: float, rows: int, rng):
     p_s, total = np.zeros(rows), np.zeros(rows)
     for lam, power in heard_tiers(spec):
         counts, rx = _tier_points(rng, rows, lam * b * r_max**l / l)
-        # received power P Psi R^-eps, with R^-eps = r_max^-eps U^(-eps/l)
-        gain = power * r_max ** (-eps)
-        if sigma > 0.0:  # one exp(sigma Z + log gain - (eps/l) log U)
-            np.log(rx, out=rx)
-            rx *= -eps / l
-            rx += sigma * rng.standard_normal(rx.size) + math.log(gain)
-            np.exp(rx, out=rx)
-        else:
-            np.power(rx, -eps / l, out=rx)
-            rx *= gain
+        # received power P Psi R^-eps = exp(log(P r_max^-eps) - eps/l log U [+ sigma Z])
+        log_gain = math.log(power * r_max ** (-eps))
+        if sigma > 0.0:
+            log_gain = sigma * rng.standard_normal(rx.size) + log_gain
+        np.log(rx, out=rx)
+        rx *= -eps / l
+        rx += log_gain
+        np.exp(rx, out=rx)
         # reduce over the nonempty rows only: reduceat would give an empty
         # row the next row's first station
         heard = counts > 0
@@ -176,20 +176,20 @@ def _simulate_blocks(spec: NetworkSpec, r_max: float, n: int, seed: int,
     from the continuation of the same substream, so acceptance conditioning
     is explicit and the whole stream stays a pure function of (seed, spec).
     A field with no audible station, a tier whose power scale P r_max^-eps is
-    not a normal float (all-zero rows would be redrawn forever), or a block
-    expecting over _MAX_BLOCK_STATIONS stations is refused before any draw.
+    not a normal float (all-zero rows would be redrawn forever), a far-field
+    mean past the float range, or a block expecting over _MAX_BLOCK_STATIONS
+    stations is refused before any draw.
     """
-    if not (heard := heard_tiers(spec)):
-        raise UnsupportedSettingError("no station can be heard: every tier has power 0")
+    rows = min(BLOCK_SIZE, n)
+    stations = rows * _stations_per_row(spec, r_max)  # refuses an inaudible field
     try:  # each tier's power scale, as _block_ps_pi computes it
-        gains = [power * r_max ** (-spec.epsilon) for _, power in heard]
+        gains = [power * r_max ** (-spec.epsilon) for _, power in heard_tiers(spec)]
     except OverflowError:
         gains = [math.inf]
-    if not sys.float_info.min <= min(gains) <= max(gains) < math.inf:
-        raise UnsupportedSettingError(f"received power P r_max^-eps at r_max="
-                                      f"{r_max:.6g} is outside the normal float range")
-    rows = min(BLOCK_SIZE, n)
-    stations = rows * _stations_per_row(spec, r_max)
+    if not (sys.float_info.min <= min(gains) <= max(gains) < math.inf
+            and math.isfinite(_far_field_mean(spec, r_max))):
+        raise UnsupportedSettingError(f"received power P r_max^-eps or its far-field mean"
+                                      f" at r_max={r_max:.6g} is outside the float range")
     if stations > _MAX_BLOCK_STATIONS:
         raise UnsupportedSettingError(
             f"r_max={r_max:.6g} expects {stations:.3g} stations in a block of {rows}"
@@ -215,15 +215,17 @@ def default_r_max(spec: NetworkSpec, *, seed: int = 0) -> float:
 
     The far field's mean is compensated exactly; its standard deviation is
     c r^(l/2-eps), c = sqrt(sum_i lambda'_i P_i^2 E[Psi^2] b / (2 eps - l)).
-    A pilot run at a provisional radius estimates the typical (median) total
-    interference, and the radius solves c r^(l/2-eps) = 1% of it.  The median
-    is used because the mean interference diverges for eps >= 2l and a sample
-    mean would be dominated by rare close pairs.  The radius is at least the
-    one holding 20 heard stations a row, so a row is empty with probability
-    e^-20: redrawing empty rows would condition the field.
+    A pilot run at the radius holding 200 heard stations a row estimates the
+    typical (median) total interference, and the radius solves
+    c r^(l/2-eps) = 1% of it.  The median is used because the mean
+    interference diverges for eps >= 2l and a sample mean would be dominated
+    by rare close pairs.  The radius is at least the one holding 20 heard
+    stations a row, so a row is empty with probability e^-20: redrawing empty
+    rows would condition the field.
     """
     l, b, eps = spec.dim.l, spec.dim.b, spec.epsilon
-    r_pilot = (200.0 * l / (spec.total_density * b)) ** (1.0 / l)
+    unit = _stations_per_row(spec, 1.0)  # refuses an inaudible field first
+    r_pilot = (200.0 / unit) ** (1.0 / l)
     pilot = [p_i for _, p_i, _ in _simulate_blocks(spec, r_pilot, _PILOT_N, seed,
                                                     stream_base=_PILOT_STREAM_BASE)]
     typical = float(np.median(np.concatenate(pilot)))
@@ -234,7 +236,7 @@ def default_r_max(spec: NetworkSpec, *, seed: int = 0) -> float:
         if not 0.0 < x < math.inf:
             raise UnsupportedSettingError(f"{name}={x:.3g} is out of float range")
     r = (_FAR_FIELD_SD_FRACTION * typical / c) ** (1.0 / (0.5 * l - eps))
-    return max(r, (20.0 / _stations_per_row(spec, 1.0)) ** (1.0 / l))
+    return max(r, (20.0 / unit) ** (1.0 / l))
 
 
 def _require_fewbs_setting(spec: NetworkSpec):

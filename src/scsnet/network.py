@@ -150,7 +150,10 @@ class LogNormalFading:
             raise SpecError(f"fading sigma must be finite and >= 0, got {self.sigma}")
 
     def moment(self, a: float) -> float:
-        return math.exp(0.5 * (a * self.sigma) ** 2)
+        try:
+            return math.exp(0.5 * (a * self.sigma) ** 2)
+        except OverflowError:  # the reduction and the sampler refuse it
+            return math.inf
 
 
 @dataclass(frozen=True)

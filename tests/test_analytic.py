@@ -439,6 +439,25 @@ class TestLookupTable:
         with pytest.raises(ValueError, match="epsilon=4.0, nprime=0.1, eta=1.0 twice"):
             LookupTable.from_csv(path)
 
+    @pytest.mark.parametrize("edit", ["swap", "drop"])
+    def test_csv_out_of_grid_order_rejected(self, table, tmp_path, edit):
+        # from_csv reads exactly the layout to_csv writes
+        path = tmp_path / "table.csv"
+        table.to_csv(path)
+        lines = path.read_text().splitlines(keepends=True)
+        if edit == "swap":
+            lines[3], lines[4] = lines[4], lines[3]
+        else:
+            del lines[3]
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="line 4 lists"):
+            LookupTable.from_csv(path)
+
+    def test_eta_must_be_a_grid_value_exactly(self, table):
+        spec = NetworkSpec(dim=D2, epsilon=4.0, tiers=(Tier(1.0, 1.0),), noise=0.1)
+        with pytest.raises(LookupRangeError, match="grid value"):
+            lookup(table, spec, 1.0 + 1e-13)
+
     def test_out_of_hull_rejected(self, table):
         spec = NetworkSpec(dim=D2, epsilon=4.0, tiers=(Tier(1.0, 1.0),), noise=50.0)
         with pytest.raises(LookupRangeError):

@@ -196,6 +196,26 @@ class TestTail:
         assert stations == pytest.approx(2.0 * math.pi * r_max**2, rel=1e-12)
         assert f"r_max={r_max:.6g}, stations_per_row={stations:.6g})" in printed
 
+    @pytest.mark.parametrize("sigma_db,argv", [
+        (100.0, ["tail", "--metric", "cin", "--method", "mc", "--etas", "1",
+                 "--n", "100"]),
+        (1000.0, ["reduce"]),
+    ])
+    def test_fading_past_float_range_is_an_error(self, capsys, tmp_path, sigma_db,
+                                                  argv):
+        # E[Psi^2] and E[Psi^(1/2)] overflow: each raised OverflowError
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({
+            "dimension": 2, "epsilon": 4.0,
+            "fading": {"type": "lognormal", "sigma_db": sigma_db},
+            "tiers": [{"density": 1.0, "power": 1.0}],
+        }))
+        out = ["--out", tmp_path / "mc.csv"] if argv[0] == "tail" else []
+        code, printed, err = run(capsys, argv[0], path, *argv[1:], *out)
+        assert code == 1 and printed == ""
+        assert err.startswith("error:") and "float range" in err
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_fewbs_method(self, capsys, spec_path, tmp_path):
         out = tmp_path / "f.csv"
         code, _, _ = run(capsys, "tail", spec_path, "--metric", "ci",
@@ -234,7 +254,7 @@ class TestTableAndLookup:
         assert manifest["threads"] == 2
         # grid-point query: reduce(spec) gives N'=0.03125, inside the hull
         code, out, _ = run(capsys, "lookup", spec_path, "--table", table,
-                           "--eta", "1.0", "--json")
+                           "--eta", "1.0")
         assert code == 0
         got = json.loads(out)
         assert got["nprime"] == pytest.approx(0.03125)
@@ -249,7 +269,19 @@ class TestTableAndLookup:
                            "--eta", "1.0")
         stored = [line for line in table.read_text().splitlines()[1:]
                   if line.startswith("2,4.0,0.1,1.0,")]
-        assert float(out) == float(stored[0].split(",")[-1])
+        assert json.loads(out)["tail"] == float(stored[0].split(",")[-1])
+
+    def test_lookup_prints_one_json_object(self, capsys, spec_path, tmp_path):
+        table = tmp_path / "table.csv"
+        run(capsys, "table", "--l", "2", "--epsilons", "4.0",
+            "--nprimes", "0.01,0.1", "--etas", "1.0", "--out", table)
+        code, out, _ = run(capsys, "lookup", spec_path, "--table", table, "--eta", "1")
+        assert code == 0 and out.count("\n") == 1
+        assert sorted(json.loads(out)) == ["epsilon", "eta", "nprime", "tail"]
+        with pytest.raises(SystemExit) as exc:  # the one answer needs no flag
+            main(["lookup", str(spec_path), "--table", str(table), "--eta", "1",
+                  "--json"])
+        assert exc.value.code == 2
 
     def test_repeated_grid_value_writes_nothing(self, capsys, tmp_path):
         # a repeated eta would give a table that from_csv rejects

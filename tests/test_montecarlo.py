@@ -23,6 +23,7 @@ from scsnet import (
     empirical_tail_ci,
     empirical_tail_cin,
     empirical_tail_fewbs,
+    heard_tiers,
     substream,
     tail_ci,
 )
@@ -164,6 +165,29 @@ class TestRealize:
         want = math.exp(-heard * D2.b * r**2 / 2)
         se = math.sqrt(want * (1 - want) / rows)
         assert abs(frac - want) < 3.0 * se
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_silent_tier_draws_nothing(self, seed):
+        # a power-0 tier is not heard, so it changes neither the draws nor the
+        # pilot that sizes r_max; sized by total density, the pilot had taken
+        # r_max at eps = 3 from 3.39 down to the 20-station floor of 2.52
+        base = canonical(eps=3.0, noise=0.3)
+        silent = dataclasses.replace(base, tiers=(*base.tiers, Tier(1e4, 0.0)))
+        for empirical in (empirical_tail_ci, empirical_tail_cin):
+            assert (empirical(base, [0.5, 1.0, 2.0], 2_000, seed)
+                    == empirical(silent, [0.5, 1.0, 2.0], 2_000, seed))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_sectored_tier_draws_as_its_heard_twin(self, seed):
+        sectored = NetworkSpec(
+            dim=D2, epsilon=3.5, noise=0.3, fading=LogNormalFading(0.5),
+            tiers=(Tier(1.0, 1.0), Tier(2.0, 4.0, Sector(gain=3.0, beamwidth=1.0))),
+        )
+        twin = dataclasses.replace(
+            sectored, tiers=tuple(Tier(lam, p) for lam, p in heard_tiers(sectored)))
+        for empirical in (empirical_tail_ci, empirical_tail_cin):
+            assert (empirical(sectored, [0.5, 1.0, 2.0], 2_000, seed)
+                    == empirical(twin, [0.5, 1.0, 2.0], 2_000, seed))
 
     def test_moment_fading_cannot_be_sampled(self):
         spec = dataclasses.replace(canonical(), fading=MomentFading(1.3))
@@ -360,6 +384,14 @@ class TestSeeding:
             empirical_tail_ci(spec, [1.0], 10, 0, r_max=3.0)
         with pytest.raises(UnsupportedSettingError, match="no station"):
             default_r_max(spec)
+
+    @pytest.mark.parametrize("sigma,r_max", [(20.0, None), (40.0, 3.0)])
+    def test_fading_past_float_range_is_refused(self, sigma, r_max):
+        # E[Psi^2] = e^800 at sigma = 20, and the far-field mean's E[Psi] = e^800
+        # at sigma = 40, were OverflowErrors
+        spec = dataclasses.replace(canonical(), fading=LogNormalFading(sigma))
+        with pytest.raises(UnsupportedSettingError, match="float range"):
+            empirical_tail_ci(spec, [1.0], 100, 0, r_max=r_max)
 
     def test_radius_beyond_memory_budget_fails_fast(self):
         spec = canonical(eps=2.2)

@@ -202,6 +202,14 @@ class TestMoments:
         )
         assert MomentFading(1.3).moment(0.7) == 1.3
 
+    def test_fading_moment_past_float_range_is_inf(self):
+        # e^800 and e^(0.5 (0.5 * 230)^2); the reduction refuses lambda_eff = inf
+        assert LogNormalFading(20.0).moment(2.0) == math.inf
+        sigma = sigma_db_to_natural(1000.0)
+        assert LogNormalFading(sigma).moment(0.5) == math.inf
+        with pytest.raises(DegenerateNetworkError, match="lambda_eff=inf"):
+            reduce_network(spec_of([Tier(1.0, 1.0)], fading=LogNormalFading(sigma)))
+
     def test_fading_moment_monotone(self):
         sigmas = [0.0, 0.5, 1.0, 2.0, 4.0]
         for a in (0.2, 0.5, 0.8):
