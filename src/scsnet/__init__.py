@@ -10,7 +10,7 @@ provided and cross-validate each other:
   characteristic-function inversion below threshold 1, and exact
   Campbell-Mecke closed forms above it (the sinc power law for C/I, one
   smooth quadrature for C/(I+N));
-* the strongest-two-interferer closed form on the whole range;
+* the strongest-two tail: one closed form on [0, inf), its G one quadrature;
 * a reproducible Monte Carlo oracle (:mod:`scsnet.montecarlo`).
 
 :mod:`scsnet.network` reduces any multi-tier, faded, sectored deployment to the

@@ -14,8 +14,8 @@ T_i for the unit-rate arrival times of the ordered station distances
   P(C/I > eta) = sinc(pi a) eta^-a, and for C/(I+N') one smooth,
   non-oscillating quadrature.  ``tol`` bounds whichever quadrature runs;
   the C/I power law runs none;
-* the strongest-two-interferer approximation C/I_2, whose tail is closed
-  form on the whole range, built from the G integral;
+* the strongest-two-interferer approximation C/I_2, whose tail is one
+  closed-form expression on the whole range, built from the G integral;
 * a lookup table of C/(I+N') tails over (epsilon, N', eta) grids, the
   reader's side of the "reduce then read out" workflow.
 
@@ -241,36 +241,28 @@ def tail_cin_closed(canon: CanonicalSystem, eta: float, *, tol: float = 1e-5) ->
     return scale * val
 
 
-@functools.cache
-def _g_at_zero(ratio: float) -> float:
-    """C = G(0) of the strongest-two tail, once per ratio."""
-    return g_integral(0.0, ratio)
-
-
 def tail_ci2(ratio: float, eta: float) -> float:
     """Closed-form tail of the strongest-two approximation C/I_2.
 
     The second-nearest interferer is kept exactly and everything beyond it
-    is replaced by its conditional mean, which yields
+    is replaced by its conditional mean, which yields one expression for
+    every eta > 0,
 
-        P(C/I_2 > eta) = eta^-a C                      for eta >= 1,
-                         1 - (1+u) e^-u + eta^-a D(eta) for eta < 1,
+        P(C/I_2 > eta) = 1 - (1+u) e^-u + eta^-a G(u),
+        u = (ratio-1) max(0, 1/eta - 1),
 
-    with u = (ratio-1)(1/eta - 1), C = G(0), D(eta) = G(u(eta)); u(1) = 0,
-    so D(1) = C: continuous at eta = 1 and approaching 1 as eta -> 0.
+    with G from g_integral.  On eta >= 1, u = 0 and the first two terms
+    cancel exactly, leaving eta^-a G(0); as eta -> 0 the tail approaches 1.
     """
     check_ratio(ratio)
     if not (eta >= 0):
         raise ValueError(f"eta must be >= 0, got {eta}")
     if eta == 0:
         return 1.0
-    a = 1.0 / ratio
-    if eta >= 1.0:
-        return eta ** (-a) * _g_at_zero(ratio)
-    u = (ratio - 1.0) * (1.0 / eta - 1.0)
+    u = (ratio - 1.0) * max(0.0, 1.0 / eta - 1.0)
     if u > 745.0:  # exp underflow: both corrections vanish
         return 1.0
-    return 1.0 - (1.0 + u) * math.exp(-u) + eta ** (-a) * g_integral(u, ratio)
+    return 1.0 - (1.0 + u) * math.exp(-u) + eta ** (-1.0 / ratio) * g_integral(u, ratio)
 
 
 def _cin_char_scale(canon: CanonicalSystem) -> float:
@@ -353,8 +345,11 @@ class LookupTable:
             header = fh.readline().strip()
             if header != "l,epsilon,nprime,eta,tail":
                 raise ValueError(f"unexpected lookup-table header: {header!r}")
-            rows = [(int(l_s), float(eps), float(npr), float(eta), float(tail))
-                    for l_s, eps, npr, eta, tail in (line.split(",") for line in fh)]
+            rows = []
+            for k, line in enumerate(fh, 2):
+                if len(fields := line.split(",")) != 5:
+                    raise ValueError(f"{path} line {k}: expected 5 comma-separated fields")
+                rows.append((int(fields[0]), *map(float, fields[1:])))
         ls, *grids = [tuple(sorted({r[c] for r in rows})) for c in range(4)]
         if len(ls) != 1:
             raise ValueError(f"lookup table must have one l, got {list(ls)}")

@@ -4,6 +4,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 from scsnet import (
     CanonicalSystem,
@@ -266,7 +267,7 @@ class TestTailCin:
         noise = nprime * (l * t / dim.b) ** (eps / l)
         for omega in (0.5, 2.0, 20.0):
             f = kummer_1f1_neg_a(l / eps, omega)
-            direct = np.trapezoid(np.exp(-t * f + 1j * omega * noise), t)
+            direct = trapezoid(np.exp(-t * f + 1j * omega * noise), t)
             got = charfn_inv_cin(canon, omega)
             assert abs(got - direct) < 1e-6
 
@@ -452,6 +453,26 @@ class TestLookupTable:
         path.write_text("".join(lines))
         with pytest.raises(ValueError, match="line 4 lists"):
             LookupTable.from_csv(path)
+
+    @pytest.mark.parametrize("text,match", [
+        # a trailing empty line, as a hand edit leaves it
+        ("l,epsilon,nprime,eta,tail\n2,4.0,0.1,1.0,0.5\n\n",
+         r"bad\.csv line 3: expected 5 comma-separated fields$"),
+        ("l,eps,nprime,eta,tail\n2,4.0,0.1,1.0,0.5\n", "unexpected lookup-table header"),
+        ("l,epsilon,nprime,eta,tail\n2,4.0,0.1,1.0,0.5\n3,4.0,0.1,1.0,0.5\n",
+         r"must have one l, got \[2, 3\]"),
+        ("l,epsilon,nprime,eta,tail\n2,4.0,0.1,0.5,0.7\n2,4.0,0.1,1.0,0.5\n"
+         "2,4.0,1.0,0.5,0.6\n", "grid is not complete"),
+    ], ids=["blank_line", "header", "two_l", "missing_last_row"])
+    def test_csv_malformed_rejected(self, tmp_path, text, match):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            LookupTable.from_csv(path)
+
+    def test_values_of_the_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="values shape must match the grids"):
+            LookupTable(2, (4.0,), (0.1, 1.0), (1.0,), np.full((2, 1, 1), 0.5))
 
     def test_eta_must_be_a_grid_value_exactly(self, table):
         spec = NetworkSpec(dim=D2, epsilon=4.0, tiers=(Tier(1.0, 1.0),), noise=0.1)

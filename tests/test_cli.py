@@ -119,6 +119,13 @@ class TestTail:
         assert code == 2
         assert "valid pairs" in err
 
+    def test_etas_without_a_number_is_a_usage_error(self, capsys, spec_path, tmp_path):
+        code, _, err = run(capsys, "tail", spec_path, "--metric", "ci",
+                           "--method", "exact", "--etas", ",",
+                           "--out", tmp_path / "x.csv")
+        assert code == 2
+        assert err.startswith("usage error:")
+
     @pytest.mark.parametrize("method", ["exact", "fewbs", "mc"])
     @pytest.mark.parametrize("metric", ["ci", "cin"])
     def test_every_pair_writes_its_method(self, capsys, spec_path, tmp_path,

@@ -372,6 +372,11 @@ class TestFewBs:
         with pytest.raises(ValueError, match="n must be"):
             empirical_tail_fewbs(canonical(), [1.0], 0, 1)
 
+    def test_requires_positive_power(self):
+        silent = NetworkSpec(dim=D2, epsilon=4.0, tiers=(Tier(1.0, 0.0),))
+        with pytest.raises(UnsupportedSettingError, match="tier power must be positive"):
+            empirical_tail_fewbs(silent, [1.0], 1_000, 0)
+
 
 class TestSeeding:
     def test_streams_differ(self):
@@ -392,6 +397,13 @@ class TestSeeding:
         spec = dataclasses.replace(canonical(), fading=LogNormalFading(sigma))
         with pytest.raises(UnsupportedSettingError, match="float range"):
             empirical_tail_ci(spec, [1.0], 100, 0, r_max=r_max)
+
+    def test_received_power_overflow_is_refused(self):
+        # at eps = 200 on a line, a station at r < 0.03 is received above 1e308
+        spec = canonical(l=1, eps=200.0)
+        with pytest.raises(UnsupportedSettingError,
+                           match="received powers at r_max=1 overflow the float range"):
+            empirical_tail_ci(spec, [1.0], 1_000, 0, r_max=1.0)
 
     def test_radius_beyond_memory_budget_fails_fast(self):
         spec = canonical(eps=2.2)

@@ -10,6 +10,7 @@ from scsnet import (
     Dimension,
     charfn_inv_ci,
     tail_ci,
+    tail_ci2,
     tail_ci_closed,
     tail_cin,
 )
@@ -138,6 +139,24 @@ class TestGIntegral:
         vals = [g_integral(0.0, r) for r in ratios]
         assert vals == sorted(vals)
         assert vals[-1] < 1.0
+
+    def test_against_mpmath_quadrature(self):
+        # a seeded (ratio, lower) grid plus (13.13, 0.245), where G written
+        # with scipy's Tricomi U (special.hyperu) is off by about 3.5e-9
+        rng = np.random.default_rng(21)
+        ratios = np.exp(rng.uniform(math.log(1.001), math.log(1e6), 8))
+        lows = np.concatenate([[0.0], rng.uniform(0.0, 1.0, 3), rng.uniform(0.0, 700.0, 3)])
+        points = [(13.13, 0.245)] + [(float(r), float(u)) for r in ratios for u in lows]
+        with mp.workdps(30):
+            for ratio, lower in points:
+                r, lo = mp.mpf(ratio), mp.mpf(lower)
+                ref = mp.quad(lambda v: v * mp.exp(-v) * (1 + v / (r - 1)) ** (-1 / r),
+                              [lo, lo + 5, mp.inf])
+                assert abs(g_integral(lower, ratio) - ref) <= 1e-14, (ratio, lower)
+        # on eta >= 1 the strongest-two tail is eta^-a G(0) exactly
+        for ratio in [1.001, 2.0, 13.13, *ratios]:
+            for eta in (1.0, 1.5, 10.0, 1e6):
+                assert tail_ci2(ratio, eta) == eta ** (-1 / ratio) * g_integral(0.0, ratio)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
