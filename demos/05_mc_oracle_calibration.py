@@ -14,7 +14,7 @@ shows up as a mean z drifting away from 0, and so does a radius too small
 to keep rows from being empty (redrawing them conditions the field).
 
 Run:  python demos/05_mc_oracle_calibration.py [--seeds K] [--n N] [--first-seed S]
-      (defaults K = 40, n = 50000, seeds 5000 .. 5000 + K - 1; about 3 min
+      (defaults K = 40, n = 50000, seeds 5000 .. 5000 + K - 1; about 1 min
       on two cores at the defaults)
 """
 
@@ -64,7 +64,7 @@ NETWORKS = [
     ("l=2 eps=2.5", canonical(2, 2.5)),
     ("l=2 eps=3", canonical(2, 3.0)),
     ("l=2 eps=4", canonical(2, 4.0)),
-    ("l=1 eps=1.5", canonical(1, 1.5)),
+    ("l=1 eps=1.3", canonical(1, 1.3)),
     ("l=3 eps=4", canonical(3, 4.0)),
     ("README 2-tier", README_SPEC),
     ("table eps=2.5 N'=1", as_network_spec(CanonicalSystem(Dimension(2), 2.5, 1.0))),

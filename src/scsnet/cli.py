@@ -42,7 +42,7 @@ from .analytic import (
     tail_ci2,
     tail_cin,
 )
-from .montecarlo import empirical_tail_ci, empirical_tail_cin
+from .montecarlo import BLOCK_SIZE, empirical_tail_ci, empirical_tail_cin, substream
 from .network import (Dimension, NetworkSpec, SpecError, Tier, canonicalize,
                       load_spec, reduce_network)
 from .numerics import InversionError
@@ -114,13 +114,15 @@ def cmd_tail(args) -> int:
     if (args.metric, args.method) == ("cin", "fewbs"):
         raise UsageError("metric/method cin/fewbs is not supported; valid pairs: "
                          "ci/exact, ci/fewbs, ci/mc, cin/exact, cin/mc")
-    record, notes = {}, []  # method-specific manifest args and summary
+    record, notes, extra = {}, [], {}  # method-specific manifest args, summary, facts
     if args.method == "mc":
         fn = empirical_tail_ci if args.metric == "ci" else empirical_tail_cin
         emp = fn(spec, etas, args.n, args.seed)
         stats = {"rejections": emp.n_rejected, "r_max": emp.r_max,
                  "stations_per_row": emp.stations_per_row}
         record = {"n": args.n, "seed": args.seed, **stats}
+        extra = {"generator": type(substream(args.seed, 0).bit_generator).__name__,
+                 "block_size": BLOCK_SIZE}
         notes = [f"n={args.n}"] + [f"{k}={v:.6g}" for k, v in stats.items()]
         emp.to_csv(args.out)
     else:
@@ -131,7 +133,7 @@ def cmd_tail(args) -> int:
     _write_manifest(args.out, "tail", {"spec": str(args.spec),
                                        "spec_sha256": _sha256(args.spec),
                                        "metric": args.metric, "method": args.method,
-                                       "etas": etas, **record}, started)
+                                       "etas": etas, **record}, started, **extra)
     print(f"wrote {args.out} ({', '.join([f'{len(etas)} points'] + notes)})")
     return 0
 

@@ -11,11 +11,11 @@ whose standard deviation falls as r_max^(l/2 - eps); the default radius is
 sized by that.
 
 Reproducibility contract: realization j lives in block j // BLOCK_SIZE at
-row j % BLOCK_SIZE, and block b draws from the counter-indexed Philox
-substream (seed, b).  Results are bit-identical for a given (seed, spec, n),
-and because blocks own disjoint substreams they are independent of any
-scheduling, so a parallel driver that merges per-block counters reproduces
-the sequential output exactly.
+row j % BLOCK_SIZE, and block b of seed s draws from
+SFC64(SeedSequence(s, spawn_key=(b,))).  Results are bit-identical for a given
+(seed, spec, n), and because blocks own disjoint substreams they are
+independent of any scheduling, so a parallel driver that merges per-block
+counters reproduces the sequential output exactly.
 """
 
 from __future__ import annotations
@@ -47,11 +47,12 @@ __all__ = [
     "empirical_tail_fewbs",
 ]
 
-BLOCK_SIZE = 4096
+BLOCK_SIZE = 512  # rows; keeps a tier's draws near cache size
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 # Expected stations per block, over all tiers, above which r_max is refused
-# (2^26 doubles are 512 MiB; the l = 2, eps = 3 canonical field needs 4e7).
-_MAX_BLOCK_STATIONS = 1 << 26
+# (the draw buffer holds 2 doubles a station: 2^25 stations are 512 MiB; the
+# l = 2, eps = 3 canonical field needs 5e6 at its default radius).
+_MAX_BLOCK_STATIONS = 1 << 25
 
 
 class UnsupportedSettingError(ValueError):
@@ -59,10 +60,9 @@ class UnsupportedSettingError(ValueError):
 
 
 def substream(seed: int, stream: int) -> np.random.Generator:
-    """Counter-indexed Philox substream: independent, reproducible, portable."""
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
-                    np.uint64(stream & 0xFFFFFFFFFFFFFFFF)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """SFC64 substream keyed by (seed, stream): independent, reproducible, portable."""
+    seq = np.random.SeedSequence(seed % 2**64, spawn_key=(stream % 2**64,))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 @dataclass(frozen=True)
@@ -115,17 +115,29 @@ def _stations_per_row(spec: NetworkSpec, r_max: float) -> float:
         return float(lam * spec.dim.b / spec.dim.l * np.float64(r_max)**spec.dim.l)
 
 
-def _tier_points(rng, rows: int, mu: float):
-    """Per-row station counts, Poisson(mu), and the stations' volume
-    fractions U in (0, 1], stored back to back row by row.  Given its count,
-    a row's stations are uniform in the ball: station j sits at r_max U_j^(1/l).
+class _DrawBuffer:
+    """Per-station draw scratch (U, then Z) reused across blocks; grows on need."""
+    buf = np.empty((2, 0))
+
+    def take(self, stations: int):
+        if stations > self.buf.shape[1]:
+            self.buf = np.empty((2, stations))
+        return self.buf[:, :stations]
+
+
+def _tier_points(rng, rows: int, mu: float, buf=None):
+    """Per-row station counts, Poisson(mu), and the stations' volume fractions
+    U in (0, 1] back to back row by row, in buf's row 0 if given.  Given its
+    count, a row's stations are uniform in the ball, station j at r_max U_j^(1/l).
     """
     counts = rng.poisson(mu, size=rows)
-    return counts, 1.0 - rng.random(int(counts.sum()))
+    u = (buf or _DrawBuffer()).take(int(counts.sum()))[0]
+    rng.random(out=u)
+    return counts, np.subtract(1.0, u, out=u)
 
 
 @np.errstate(over="raise", invalid="raise")
-def _block_ps_pi(spec: NetworkSpec, r_max: float, rows: int, rng):
+def _block_ps_pi(spec: NetworkSpec, r_max: float, rows: int, rng, buf=None):
     """(p_s, p_i, accepted mask) for a block of realizations.
 
     Draw order is fixed: tiers in spec order, and per tier the station
@@ -137,15 +149,17 @@ def _block_ps_pi(spec: NetworkSpec, r_max: float, rows: int, rng):
     far = _far_field_mean(spec, r_max)
     sigma = spec.fading.sigma if isinstance(spec.fading, LogNormalFading) else 0.0
     p_s, total = np.zeros(rows), np.zeros(rows)
+    buf = buf or _DrawBuffer()
     for lam, power in heard_tiers(spec):
-        counts, rx = _tier_points(rng, rows, lam * b * r_max**l / l)
+        counts, rx = _tier_points(rng, rows, lam * b * r_max**l / l, buf)
         # received power P Psi R^-eps = exp(log(P r_max^-eps) - eps/l log U [+ sigma Z])
         log_gain = math.log(power * r_max ** (-eps))
-        if sigma > 0.0:
-            log_gain = sigma * rng.standard_normal(rx.size) + log_gain
         np.log(rx, out=rx)
         rx *= -eps / l
-        rx += log_gain
+        z = rng.standard_normal(out=buf.take(rx.size)[1]) if sigma > 0.0 else 0.0
+        z *= sigma
+        z += log_gain
+        rx += z
         np.exp(rx, out=rx)
         # reduce over the nonempty rows only: reduceat would give an empty
         # row the next row's first station
@@ -194,14 +208,15 @@ def _simulate_blocks(spec: NetworkSpec, r_max: float, n: int, seed: int,
         raise UnsupportedSettingError(
             f"r_max={r_max:.6g} expects {stations:.3g} stations in a block of {rows}"
             f" rows, above the limit of {_MAX_BLOCK_STATIONS}; pass a smaller r_max")
+    buf = _DrawBuffer()
     try:
         for rows, rng in _blocks(n, seed, stream_base):
-            p_s, p_i, ok = _block_ps_pi(spec, r_max, rows, rng)
+            p_s, p_i, ok = _block_ps_pi(spec, r_max, rows, rng, buf)
             rejected = 0
             while not ok.all():
                 bad = ~ok
                 rejected += int(bad.sum())
-                ps2, pi2, ok2 = _block_ps_pi(spec, r_max, int(bad.sum()), rng)
+                ps2, pi2, ok2 = _block_ps_pi(spec, r_max, int(bad.sum()), rng, buf)
                 p_s[bad], p_i[bad] = ps2, pi2
                 ok[bad] = ok2
             yield p_s, p_i, rejected

@@ -203,6 +203,21 @@ class TestTail:
         assert stations == pytest.approx(2.0 * math.pi * r_max**2, rel=1e-12)
         assert f"r_max={r_max:.6g}, stations_per_row={stations:.6g})" in printed
 
+    def test_mc_manifest_records_generator_and_block_size(self, capsys, spec_path,
+                                                          tmp_path):
+        # top-level facts of the sampler, kept out of the replayable args
+        for method in ("mc", "exact"):
+            out = tmp_path / f"{method}.csv"
+            code, _, _ = run(capsys, "tail", spec_path, "--metric", "ci", "--method",
+                             method, "--etas", "1", "--n", "100", "--out", out)
+            assert code == 0
+            manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+            assert not {"generator", "block_size"} & set(manifest["args"])
+            if method == "mc":
+                assert (manifest["generator"], manifest["block_size"]) == ("SFC64", 512)
+            else:
+                assert not {"generator", "block_size"} & set(manifest)
+
     @pytest.mark.parametrize("sigma_db,argv", [
         (100.0, ["tail", "--metric", "cin", "--method", "mc", "--etas", "1",
                  "--n", "100"]),

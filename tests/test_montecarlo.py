@@ -89,14 +89,15 @@ class TestSampleField:
 
     def test_block_matches_row_by_row_reference(self):
         # replay the documented draws (tiers in order; per tier counts,
-        # positions, normals) and rebuild each row in plain Python; this
-        # seed leaves rows empty, and the last row empty in every tier
+        # positions, normals) and rebuild each row in plain Python; the seed
+        # is the first one >= 1 whose draws leave rows empty, and the last
+        # row empty in every tier
         sector = Sector(gain=20.0, beamwidth=2 * math.pi / 3)
         spec = NetworkSpec(dim=D2, epsilon=4.0, fading=LogNormalFading(1.0),
                            tiers=(Tier(1.0, 10.0, sector), Tier(0.5, 0.1)))
         r_max, rows = 0.6, 40
-        p_s, p_i, ok = _block_ps_pi(spec, r_max, rows, substream(1, 0))
-        rng = substream(1, 0)
+        p_s, p_i, ok = _block_ps_pi(spec, r_max, rows, substream(2, 0))
+        rng = substream(2, 0)
         ref_s, ref_sum, last = [0.0] * rows, [0.0] * rows, []
         for lam, power in ((sector.face_probability, 20.0), (0.5, 0.1)):
             counts = rng.poisson(lam * D2.b * r_max**2 / 2, size=rows)
@@ -381,6 +382,24 @@ class TestFewBs:
 class TestSeeding:
     def test_streams_differ(self):
         assert substream(7, 0).random() != substream(7, 1).random()
+
+    def test_each_block_depends_only_on_seed_and_index(self):
+        # block k of a run is, bitwise, the first block of a run started at
+        # stream k: no block reads another's stream, and the reused draw
+        # buffer carries nothing over, though the second tier grows it and
+        # empty rows are redrawn from it
+        spec = NetworkSpec(dim=D2, epsilon=4.0, fading=LogNormalFading(1.0),
+                           tiers=(Tier(0.5, 1.0), Tier(4.0, 0.1)))
+        r_max, n, seed = 0.6, 3 * BLOCK_SIZE + 17, 13
+        blocks = list(_simulate_blocks(spec, r_max, n, seed))
+        assert [p_s.size for p_s, _, _ in blocks] == [BLOCK_SIZE] * 3 + [17]
+        assert all(rej > 0 for _, _, rej in blocks[:3])
+        for k, (p_s, p_i, rej) in enumerate(blocks):
+            alone = next(_simulate_blocks(spec, r_max, p_s.size, seed, stream_base=k))
+            np.testing.assert_array_equal(p_s, alone[0])
+            np.testing.assert_array_equal(p_i, alone[1])
+            assert rej == alone[2]
+        assert substream(seed, 0).random() != substream(seed, 1).random()
 
     def test_no_audible_station_fails_fast(self):
         # every row would be rejected and redrawn forever
