@@ -7,11 +7,12 @@ threshold this script runs it at K seeds and forms
     z = (tail_mc - p) / sqrt(p (1 - p) / n),
 
 with p the exact tail (`tail_ci` for C/I, `tail_cin` for C/(I+N)).  A
-calibrated oracle gives a mean z within 3/sqrt(K) of 0 and an sd of z near
-1; the script flags any (network, eta) whose mean z or sd z falls outside
-[-3/sqrt(K), 3/sqrt(K)] or [0.8, 1.2].  A mean-sized or too-small radius
-shows up as a mean z drifting away from 0, and so does a radius too small
-to keep rows from being empty (redrawing them conditions the field).
+calibrated oracle gives a mean z within 3/sqrt(K) of 0 and an sd of z within
+3/sqrt(2(K-1)) of 1, three standard errors of each over K seeds; the script
+flags any (network, eta) whose mean z or sd z falls outside its band.  A
+mean-sized or too-small radius shows up as a mean z drifting away from 0,
+and so does a radius too small to keep rows from being empty (redrawing
+them conditions the field).
 
 Run:  python demos/05_mc_oracle_calibration.py [--seeds K] [--n N] [--first-seed S]
       (defaults K = 40, n = 50000, seeds 5000 .. 5000 + K - 1; about 1 min
@@ -25,12 +26,10 @@ import time
 import numpy as np
 
 from scsnet import (
-    CanonicalSystem,
     Dimension,
     NetworkSpec,
     Sector,
     Tier,
-    as_network_spec,
     canonicalize,
     default_r_max,
     empirical_tail_ci,
@@ -43,8 +42,9 @@ from scsnet import (
 ETAS = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 
-def canonical(l, eps):
-    return NetworkSpec(dim=Dimension(l), epsilon=eps, tiers=(Tier(1.0, 1.0),))
+def canonical(l, eps, noise=0.0):
+    return NetworkSpec(dim=Dimension(l), epsilon=eps, tiers=(Tier(1.0, 1.0),),
+                       noise=noise)
 
 
 # the README's two-tier network: sectored macro tier, dense overlay, 8 dB
@@ -67,7 +67,7 @@ NETWORKS = [
     ("l=1 eps=1.3", canonical(1, 1.3)),
     ("l=3 eps=4", canonical(3, 4.0)),
     ("README 2-tier", README_SPEC),
-    ("table eps=2.5 N'=1", as_network_spec(CanonicalSystem(Dimension(2), 2.5, 1.0))),
+    ("table eps=2.5 N'=1", canonical(2, 2.5, noise=1.0)),
     # eps near l: the radius is the floor of 20 heard stations a row
     ("l=3 eps=3.02", canonical(3, 3.02)),
     ("60deg sector eps=2.01", NetworkSpec(
@@ -99,9 +99,9 @@ def main():
     args = ap.parse_args()
     k = args.seeds
     seeds = range(args.first_seed, args.first_seed + k)
-    mean_bound = 3.0 / math.sqrt(k)
-    print(f"K = {k} seeds ({seeds[0]}..{seeds[-1]}), n = {args.n}, "
-          f"etas {ETAS}; gate |mean z| <= {mean_bound:.3f}, sd z in [0.8, 1.2]")
+    mean_bound, sd_bound = 3.0 / math.sqrt(k), 3.0 / math.sqrt(2.0 * (k - 1))
+    print(f"K = {k} seeds ({seeds[0]}..{seeds[-1]}), n = {args.n}, etas {ETAS}; "
+          f"gate |mean z| <= {mean_bound:.3f}, |sd z - 1| <= {sd_bound:.3f}")
     print(f"{'network':<20}{'r_max':>8}{'s/run':>8}  mean z per eta / sd z per eta")
     flagged = 0
     for name, spec in NETWORKS:
@@ -111,7 +111,7 @@ def main():
         per_run = (time.perf_counter() - started) / k
         r_max = default_r_max(spec, seed=seeds[0])
         mean, sd = z.mean(axis=0), z.std(axis=0, ddof=1)
-        bad = (np.abs(mean) > mean_bound) | (sd < 0.8) | (sd > 1.2)
+        bad = (np.abs(mean) > mean_bound) | (np.abs(sd - 1.0) > sd_bound)
         flagged += int(bad.sum())
         outside = ", ".join(f"{e:g}" for e, b in zip(ETAS, bad) if b)
         print(f"{name:<20}{r_max:>8.3g}{per_run:>8.3f}  "

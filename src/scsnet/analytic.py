@@ -349,7 +349,13 @@ class LookupTable:
             for k, line in enumerate(fh, 2):
                 if len(fields := line.split(",")) != 5:
                     raise ValueError(f"{path} line {k}: expected 5 comma-separated fields")
-                rows.append((int(fields[0]), *map(float, fields[1:])))
+                try:
+                    rows.append((int(fields[0]), *map(float, fields[1:])))
+                except ValueError:
+                    raise ValueError(f"{path} line {k}: expected an integer l and four "
+                                     f"numbers, got {line.strip()!r}") from None
+        if not rows:
+            raise ValueError(f"{path}: lookup table has no cells")
         ls, *grids = [tuple(sorted({r[c] for r in rows})) for c in range(4)]
         if len(ls) != 1:
             raise ValueError(f"lookup table must have one l, got {list(ls)}")

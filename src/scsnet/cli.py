@@ -83,11 +83,11 @@ def _write_tails(path, rows):
             fh.write(f"{eta!r},{p!r},{method}\n")
 
 
-def _parse_floats(text):
-    vals = [float(tok) for tok in text.split(",") if tok.strip()]
-    if not vals:
-        raise UsageError("expected a comma-separated list of numbers")
-    return vals
+def _parse_floats(text, name):
+    try:
+        return [float(tok) for tok in text.split(",")]
+    except ValueError:
+        raise UsageError(f"{name} must be comma-separated numbers, got {text!r}") from None
 
 
 def cmd_reduce(args) -> int:
@@ -108,7 +108,7 @@ def cmd_reduce(args) -> int:
 def cmd_tail(args) -> int:
     started = time.monotonic()
     spec = load_spec(args.spec)
-    etas = _parse_floats(args.etas)
+    etas = _parse_floats(args.etas, "--etas")
     if sorted(etas) != etas:
         raise UsageError("--etas must be sorted ascending")
     if (args.metric, args.method) == ("cin", "fewbs"):
@@ -141,9 +141,9 @@ def cmd_tail(args) -> int:
 def cmd_table(args) -> int:
     started = time.monotonic()
     d_eps, d_npr, d_eta = default_table_grids(args.l)
-    epsilons = _parse_floats(args.epsilons) if args.epsilons else list(d_eps)
-    nprimes = _parse_floats(args.nprimes) if args.nprimes else list(d_npr)
-    etas = _parse_floats(args.etas) if args.etas else list(d_eta)
+    epsilons = _parse_floats(args.epsilons, "--epsilons") if args.epsilons else list(d_eps)
+    nprimes = _parse_floats(args.nprimes, "--nprimes") if args.nprimes else list(d_npr)
+    etas = _parse_floats(args.etas, "--etas") if args.etas else list(d_eta)
     build_lookup_table(args.l, epsilons, nprimes, etas).to_csv(args.out)
     _write_manifest(args.out, "table", {"l": args.l, "epsilons": epsilons,
                                         "nprimes": nprimes, "etas": etas},

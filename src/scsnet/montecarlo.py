@@ -125,19 +125,19 @@ class _DrawBuffer:
         return self.buf[:, :stations]
 
 
-def _tier_points(rng, rows: int, mu: float, buf=None):
+def _tier_points(rng, rows: int, mu: float, buf: _DrawBuffer):
     """Per-row station counts, Poisson(mu), and the stations' volume fractions
-    U in (0, 1] back to back row by row, in buf's row 0 if given.  Given its
+    U in (0, 1] back to back row by row, in buf's row 0.  Given its
     count, a row's stations are uniform in the ball, station j at r_max U_j^(1/l).
     """
     counts = rng.poisson(mu, size=rows)
-    u = (buf or _DrawBuffer()).take(int(counts.sum()))[0]
+    u = buf.take(int(counts.sum()))[0]
     rng.random(out=u)
     return counts, np.subtract(1.0, u, out=u)
 
 
 @np.errstate(over="raise", invalid="raise")
-def _block_ps_pi(spec: NetworkSpec, r_max: float, rows: int, rng, buf=None):
+def _block_ps_pi(spec: NetworkSpec, r_max: float, rows: int, rng, buf: _DrawBuffer):
     """(p_s, p_i, accepted mask) for a block of realizations.
 
     Draw order is fixed: tiers in spec order, and per tier the station
@@ -149,7 +149,6 @@ def _block_ps_pi(spec: NetworkSpec, r_max: float, rows: int, rng, buf=None):
     far = _far_field_mean(spec, r_max)
     sigma = spec.fading.sigma if isinstance(spec.fading, LogNormalFading) else 0.0
     p_s, total = np.zeros(rows), np.zeros(rows)
-    buf = buf or _DrawBuffer()
     for lam, power in heard_tiers(spec):
         counts, rx = _tier_points(rng, rows, lam * b * r_max**l / l, buf)
         # received power P Psi R^-eps = exp(log(P r_max^-eps) - eps/l log U [+ sigma Z])

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 __all__ = [
     "Dimension",
@@ -44,10 +44,8 @@ __all__ = [
     "heard_tiers",
     "reduce_network",
     "canonicalize",
-    "noise_after_adding_tiers",
     "spec_from_json",
     "load_spec",
-    "as_network_spec",
     "sigma_db_to_natural",
 ]
 
@@ -296,36 +294,6 @@ def reduce_network(spec: NetworkSpec) -> Reduction:
 def canonicalize(spec: NetworkSpec) -> CanonicalSystem:
     """The canonical system of a network; see reduce_network."""
     return reduce_network(spec).canon
-
-
-def noise_after_adding_tiers(
-    base: Tier, added: Sequence[Tier], dim: Dimension, epsilon: float, noise: float
-) -> Tuple[float, float]:
-    """Normalized noise before (N1) and after (N2) overlaying extra tiers.
-
-    N1 = N * lambda1^(-eps/l) / kappa1 for the base tier alone;
-    N2 = N1 * (1 + sum_i (lambda_i/lambda1)(kappa_i/kappa1)^(l/eps))^(-eps/l),
-    where lambda and kappa are each tier's heard density and power (see
-    heard_tiers): a sectored tier is heard at its gain by theta/(2*pi) of
-    its stations.  Any added tier that can be heard strictly lowers the
-    normalized noise, hence strictly improves C/(I+N).
-    """
-    def nprime(tiers):
-        spec = NetworkSpec(dim=dim, epsilon=epsilon, tiers=tiers, noise=noise)
-        return reduce_network(spec).canon.nprime
-
-    return nprime((base,)), nprime((base, *added))
-
-
-def as_network_spec(canon: CanonicalSystem) -> NetworkSpec:
-    """Re-express a canonical system as the network it stands for."""
-    return NetworkSpec(
-        dim=canon.dim,
-        epsilon=canon.epsilon,
-        tiers=(Tier(density=1.0, power=1.0),),
-        fading=NoFading(),
-        noise=canon.nprime,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from scsnet import (
     empirical_tail_cin,
     empirical_tail_fewbs,
     kummer_1f1_neg_a,
-    noise_after_adding_tiers,
     tail_ci,
     tail_ci2,
     tail_cin,
@@ -193,6 +192,7 @@ def test_criterion_08_multi_tier_collapse():
 def test_criterion_09_added_tiers_improve():
     rng = np.random.default_rng(900)
     base = Tier(density=1.0, power=1.0)
+    n1 = canonicalize(NetworkSpec(dim=D2, epsilon=4.0, tiers=(base,), noise=1.0)).nprime
     ok_mono = True
     for _ in range(10):
         added = [
@@ -200,16 +200,15 @@ def test_criterion_09_added_tiers_improve():
                  power=float(rng.uniform(0.001, 3.0)))
             for _ in range(int(rng.integers(1, 4)))
         ]
-        n1, n2 = noise_after_adding_tiers(base, added, D2, 4.0, 1.0)
-        ok_mono &= n2 < n1
+        aug = NetworkSpec(dim=D2, epsilon=4.0, tiers=(base, *added), noise=1.0)
+        ok_mono &= canonicalize(aug).nprime < n1
     # one strongly-improving configuration, checked by simulation
     noise = 2.0
     base_spec = NetworkSpec(dim=D2, epsilon=4.0, tiers=(base,), noise=noise)
     aug_spec = NetworkSpec(dim=D2, epsilon=4.0,
                            tiers=(base, Tier(density=3.0, power=1.0)),
                            noise=noise)
-    n1, n2 = noise_after_adding_tiers(base, [Tier(3.0, 1.0)], D2, 4.0, noise)
-    assert n2 / n1 < 0.5
+    assert canonicalize(aug_spec).nprime / canonicalize(base_spec).nprime < 0.5
     e_base = empirical_tail_cin(base_spec, [1.0], 200_000, 910)
     e_aug = empirical_tail_cin(aug_spec, [1.0], 200_000, 911)
     gain = e_aug.tails[0] - e_base.tails[0]
@@ -229,10 +228,10 @@ def test_criterion_10_sectoring():
     ok_tail = abs(tail_cin(canon, 1.0) - emp.tails[0]) <= emp.halfwidths[0]
     # the serving station is the nearest facing one:
     # P(p_s > G r^-eps) = 1 - exp(-lambda theta/(2 pi) b r^l / l)
-    from scsnet.montecarlo import _block_ps_pi
+    from scsnet.montecarlo import _DrawBuffer, _block_ps_pi
 
     r = 1.0
-    p_s, _, _ = _block_ps_pi(spec, 2.0, 100_000, substream(1001, 0))
+    p_s, _, _ = _block_ps_pi(spec, 2.0, 100_000, substream(1001, 0), _DrawBuffer())
     frac = float((p_s > gain * r**-4.0).mean())
     want = 1.0 - math.exp(-theta / (2.0 * math.pi) * D2.b * r**2 / 2.0)
     se = math.sqrt(want * (1.0 - want) / p_s.size)

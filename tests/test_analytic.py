@@ -22,7 +22,6 @@ from scsnet import (
     empirical_tail_cin,
     empirical_tail_fewbs,
     lookup,
-    noise_after_adding_tiers,
     tail_ci,
     tail_ci2,
     tail_ci_closed,
@@ -463,7 +462,15 @@ class TestLookupTable:
          r"must have one l, got \[2, 3\]"),
         ("l,epsilon,nprime,eta,tail\n2,4.0,0.1,0.5,0.7\n2,4.0,0.1,1.0,0.5\n"
          "2,4.0,1.0,0.5,0.6\n", "grid is not complete"),
-    ], ids=["blank_line", "header", "two_l", "missing_last_row"])
+        ("l,epsilon,nprime,eta,tail\n2.0,4.0,0.1,1.0,0.5\n",
+         r"bad\.csv line 2: expected an integer l and four numbers, "
+         r"got '2\.0,4\.0,0\.1,1\.0,0\.5'$"),
+        ("l,epsilon,nprime,eta,tail\n2,4.0,0.1,0.5,0.7\n2,4.0,0.1,1.0,abc\n",
+         r"bad\.csv line 3: expected an integer l and four numbers, "
+         r"got '2,4\.0,0\.1,1\.0,abc'$"),
+        ("l,epsilon,nprime,eta,tail\n", r"bad\.csv: lookup table has no cells$"),
+    ], ids=["blank_line", "header", "two_l", "missing_last_row", "float_l", "text_tail",
+            "header_only"])
     def test_csv_malformed_rejected(self, tmp_path, text, match):
         path = tmp_path / "bad.csv"
         path.write_text(text)
@@ -609,9 +616,9 @@ def test_bad_tol_fails_fast(entry, tol):
     (lambda: LookupTable(2, (3.0,), (0.1,), (0.5,), np.full((1, 1, 1), math.nan)),
      "values"),
     (lambda: build_lookup_table(2, [3.0], [math.nan], [0.5]), "nprime"),
-    (lambda: noise_after_adding_tiers(Tier(1.0, 1.0), [Tier(1.0, 1.0)], D2, math.nan, 0.1),
+    (lambda: canonicalize(NetworkSpec(D2, math.nan, (Tier(1.0, 1.0),) * 2, noise=0.1)),
      "epsilon"),
-    (lambda: noise_after_adding_tiers(Tier(1.0, 1.0), [Tier(1.0, 1.0)], D2, 4.0, math.nan),
+    (lambda: canonicalize(NetworkSpec(D2, 4.0, (Tier(1.0, 1.0),) * 2, noise=math.nan)),
      "noise"),
 ], ids=["table_epsilon", "table_nprime", "table_eta", "table_value", "build_nprime",
         "added_tiers_epsilon", "added_tiers_noise"])

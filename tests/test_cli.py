@@ -126,6 +126,17 @@ class TestTail:
         assert code == 2
         assert err.startswith("usage error:")
 
+    @pytest.mark.parametrize("etas", ["0.5,,1", "0.5,1,"])
+    def test_etas_with_an_empty_entry_is_a_usage_error(self, capsys, spec_path,
+                                                       tmp_path, etas):
+        out = tmp_path / "x.csv"
+        code, _, err = run(capsys, "tail", spec_path, "--metric", "ci",
+                           "--method", "exact", "--etas", etas, "--out", out)
+        assert code == 2
+        assert err.startswith(f"usage error: --etas must be comma-separated numbers, "
+                              f"got '{etas}'")
+        assert not out.exists()
+
     @pytest.mark.parametrize("method", ["exact", "fewbs", "mc"])
     @pytest.mark.parametrize("metric", ["ci", "cin"])
     def test_every_pair_writes_its_method(self, capsys, spec_path, tmp_path,
@@ -264,6 +275,14 @@ class TestTail:
 
 
 class TestTableAndLookup:
+    def test_grid_with_an_empty_entry_names_its_flag(self, capsys, tmp_path):
+        out = tmp_path / "table.csv"
+        code, _, err = run(capsys, "table", "--epsilons", "4.0", "--nprimes", "0.1,,1",
+                           "--etas", "1.0", "--out", out)
+        assert code == 2
+        assert err.startswith("usage error: --nprimes must be comma-separated numbers")
+        assert not out.exists()
+
     def test_round_trip_and_query(self, capsys, spec_path, tmp_path, monkeypatch):
         monkeypatch.setenv("SCS_THREADS", "2")
         table = tmp_path / "table.csv"

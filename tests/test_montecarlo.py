@@ -17,8 +17,8 @@ from scsnet import (
     Sector,
     Tier,
     UnsupportedSettingError,
-    as_network_spec,
     build_lookup_table,
+    canonicalize,
     default_r_max,
     empirical_tail_ci,
     empirical_tail_cin,
@@ -31,6 +31,7 @@ from scsnet.analytic import default_table_grids
 from scsnet.montecarlo import (
     _MAX_BLOCK_STATIONS,
     BLOCK_SIZE,
+    _DrawBuffer,
     _block_ps_pi,
     _far_field_mean,
     _simulate_blocks,
@@ -55,7 +56,7 @@ class TestSampleField:
         # a tier's count within r_max ~ Poisson(lambda b r^l / l), one per row
         lam, r_max = 1.0, 4.0
         mu = lam * D2.b * r_max**2 / 2
-        counts, _ = _tier_points(substream(1, 0), 10_000, mu)
+        counts, _ = _tier_points(substream(1, 0), 10_000, mu, _DrawBuffer())
         mean = counts.mean()
         se = counts.std() / math.sqrt(len(counts))
         assert abs(mean - mu) < 3.0 * se
@@ -64,7 +65,7 @@ class TestSampleField:
 
     def test_positions_are_uniform_in_ball(self):
         # volume fractions (R / r_max)^l of a uniform field are U(0, 1]
-        counts, u = _tier_points(substream(2, 0), 200, D2.b * 6.0**2 / 2)
+        counts, u = _tier_points(substream(2, 0), 200, D2.b * 6.0**2 / 2, _DrawBuffer())
         assert u.size == counts.sum()
         assert u.min() > 0.0 and u.max() <= 1.0
         assert stats.kstest(u, "uniform").pvalue > 0.01
@@ -96,7 +97,7 @@ class TestSampleField:
         spec = NetworkSpec(dim=D2, epsilon=4.0, fading=LogNormalFading(1.0),
                            tiers=(Tier(1.0, 10.0, sector), Tier(0.5, 0.1)))
         r_max, rows = 0.6, 40
-        p_s, p_i, ok = _block_ps_pi(spec, r_max, rows, substream(2, 0))
+        p_s, p_i, ok = _block_ps_pi(spec, r_max, rows, substream(2, 0), _DrawBuffer())
         rng = substream(2, 0)
         ref_s, ref_sum, last = [0.0] * rows, [0.0] * rows, []
         for lam, power in ((sector.face_probability, 20.0), (0.5, 0.1)):
@@ -129,7 +130,7 @@ class TestRealize:
     def test_serving_is_nearest_for_constant_marks(self):
         # one tier, no fading: the draws are the counts, then the positions
         r_max, rows = 5.0, 200
-        p_s, _, ok = _block_ps_pi(canonical(), r_max, rows, substream(6, 0))
+        p_s, _, ok = _block_ps_pi(canonical(), r_max, rows, substream(6, 0), _DrawBuffer())
         rng = substream(6, 0)
         counts = rng.poisson(D2.b * r_max**2 / 2, size=rows)
         u = 1.0 - rng.random(int(counts.sum()))
@@ -145,8 +146,8 @@ class TestRealize:
             dim=D2, epsilon=4.0,
             tiers=(Tier(1.0, 1.0, Sector(gain=1.0, beamwidth=2 * math.pi)),),
         )
-        b1 = _block_ps_pi(plain, 5.0, 500, substream(42, 0))
-        b2 = _block_ps_pi(sect, 5.0, 500, substream(42, 0))
+        b1 = _block_ps_pi(plain, 5.0, 500, substream(42, 0), _DrawBuffer())
+        b2 = _block_ps_pi(sect, 5.0, 500, substream(42, 0), _DrawBuffer())
         for x1, x2 in zip(b1, b2):
             np.testing.assert_array_equal(x1, x2)
 
@@ -160,7 +161,7 @@ class TestRealize:
         # hears nothing with probability exp(-lambda P(K > 0) b r^l / l), with
         # P(K > 0) = theta/(2 pi) the share of stations facing the receiver
         r, rows = 1.0, 100_000
-        p_s, _, _ = _block_ps_pi(spec, 2.0, rows, substream(7, 0))
+        p_s, _, _ = _block_ps_pi(spec, 2.0, rows, substream(7, 0), _DrawBuffer())
         frac = float((p_s <= 3.0 * r**-4.0).mean())
         heard = theta / (2 * math.pi)
         want = math.exp(-heard * D2.b * r**2 / 2)
@@ -199,7 +200,7 @@ class TestRealize:
 
     def test_far_field_compensation_positive(self):
         far = _far_field_mean(canonical(), 5.0)
-        _, p_i, _ = _block_ps_pi(canonical(), 5.0, 100, substream(9, 0))
+        _, p_i, _ = _block_ps_pi(canonical(), 5.0, 100, substream(9, 0), _DrawBuffer())
         assert far > 0
         assert np.all(p_i >= far)
 
@@ -279,7 +280,8 @@ class TestEmpiricalTails:
         epsilons, nprimes, etas = default_table_grids(2)
         assert 2.5 in epsilons and 1.0 in nprimes
         table = build_lookup_table(2, [2.5], [1.0], etas)
-        spec = as_network_spec(CanonicalSystem(D2, 2.5, 1.0))
+        spec = canonical(eps=2.5, noise=1.0)
+        assert canonicalize(spec) == CanonicalSystem(D2, 2.5, 1.0)
         emp = empirical_tail_cin(spec, etas, 50_000, 23)
         assert_within_4se(emp, table.values.ravel())
 

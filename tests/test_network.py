@@ -14,10 +14,8 @@ from scsnet import (
     Sector,
     SpecError,
     Tier,
-    as_network_spec,
     canonicalize,
     heard_tiers,
-    noise_after_adding_tiers,
     reduce_network,
     sigma_db_to_natural,
     spec_from_json,
@@ -250,7 +248,9 @@ class TestCanonicalize:
                 noise=rng.uniform(0, 2),
             )
             canon = canonicalize(spec)
-            again = canonicalize(as_network_spec(canon))
+            # the unit-density, unit-power network it stands for
+            again = canonicalize(spec_of([Tier(1.0, 1.0)], l=canon.dim.l,
+                                         eps=canon.epsilon, noise=canon.nprime))
             assert again.nprime == pytest.approx(canon.nprime, abs=1e-12, rel=1e-12)
 
     def test_density_scaling_law(self):
@@ -277,24 +277,27 @@ class TestCanonicalize:
         assert reduce_network(spec).power_moment == pytest.approx(expected, rel=1e-14)
 
 
+def noise_before_and_after(base, added, l=2, eps=4.0, noise=1.0):
+    """N' of the base tier alone and of the base tier with the added tiers."""
+    return tuple(canonicalize(spec_of(tiers, l=l, eps=eps, noise=noise)).nprime
+                 for tiers in ([base], [base, *added]))
+
+
 class TestNoiseAfterAddingTiers:
     def test_no_added_tiers(self):
         base = Tier(2.0, 4.0)
-        n1, n2 = noise_after_adding_tiers(base, [], Dimension(2), 4.0, 1.0)
+        n1, n2 = noise_before_and_after(base, [])
         assert n1 == pytest.approx(1.0 * 2.0 ** (-2.0) / 4.0)
         assert n2 == n1
 
     def test_one_equal_tier_quarters_noise(self):
         base = Tier(1.0, 1.0)
-        n1, n2 = noise_after_adding_tiers(base, [Tier(1.0, 1.0)],
-                                          Dimension(2), 4.0, 1.0)
+        n1, n2 = noise_before_and_after(base, [Tier(1.0, 1.0)])
         assert n2 == pytest.approx(n1 / 4.0, rel=1e-13)
 
     def test_two_equal_tiers_ninth(self):
         base = Tier(1.0, 1.0)
-        n1, n2 = noise_after_adding_tiers(
-            base, [Tier(1.0, 1.0), Tier(1.0, 1.0)], Dimension(2), 4.0, 1.0
-        )
+        n1, n2 = noise_before_and_after(base, [Tier(1.0, 1.0), Tier(1.0, 1.0)])
         assert n2 == pytest.approx(n1 / 9.0, rel=1e-13)
 
     def test_strict_improvement(self):
@@ -305,7 +308,7 @@ class TestNoiseAfterAddingTiers:
                      for _ in range(rng.integers(1, 5))]
             l = int(rng.integers(1, 4))
             eps = l + rng.uniform(0.5, 4.0)
-            n1, n2 = noise_after_adding_tiers(base, added, Dimension(l), eps, 1.0)
+            n1, n2 = noise_before_and_after(base, added, l=l, eps=eps)
             assert n2 < n1
 
     def test_sectored_overlay_heard_at_gain_by_facing_share(self):
@@ -313,7 +316,7 @@ class TestNoiseAfterAddingTiers:
         # overlay: 2 * 1/4 heard at gain 4, adding 0.5 * 4^(1/2) = 1
         base = Tier(1.0, 1.0, Sector(gain=3.0, beamwidth=2 * math.pi / 3))
         added = [Tier(2.0, 0.5, Sector(gain=4.0, beamwidth=math.pi / 2))]
-        n1, n2 = noise_after_adding_tiers(base, added, Dimension(2), 4.0, 1.0)
+        n1, n2 = noise_before_and_after(base, added)
         assert n1 == pytest.approx(3.0, rel=1e-13)
         assert n2 == pytest.approx((3.0**-0.5 + 1.0) ** -2.0, rel=1e-13)
 
