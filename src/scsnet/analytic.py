@@ -36,7 +36,7 @@ from typing import Sequence, Tuple
 import numpy as np
 from scipy.integrate import quad
 
-from .network import CanonicalSystem, Dimension, NetworkSpec, canonicalize
+from .network import CanonicalSystem, Dimension, NetworkSpec, SpecError, canonicalize
 from .numerics import (
     InversionError,
     check_ratio,
@@ -372,7 +372,12 @@ class LookupTable:
 
 def _grids(l: int, epsilons, nprimes, etas):
     """The grids by name as float tuples, each nonempty, finite, strictly
-    increasing and in its domain: eps > l, N' > 0, eta >= 0."""
+    increasing and in its domain: eps > l, N' > 0, eta >= 0.  A dimension
+    that Dimension refuses raises ValueError: a table is not a spec."""
+    try:
+        Dimension(l)
+    except SpecError as e:
+        raise ValueError(f"lookup table {e}") from None
     grids = {}
     for name, grid, in_domain, domain in (
         ("epsilons", epsilons, lambda x: x > l, f"> l={l}"),
@@ -416,10 +421,9 @@ def build_lookup_table(l: int, epsilon_grid: Sequence[float],
     default.  pool.map keeps the systems' row-major (epsilon, N') order, so
     the output is identical for any thread count.
     """
-    dim = Dimension(l)
     grids = _grids(l, epsilon_grid, nprime_grid, eta_grid)
     epsilons, nprimes, etas = grids.values()
-    systems = [CanonicalSystem(dim=dim, epsilon=eps, nprime=npr)
+    systems = [CanonicalSystem(dim=Dimension(l), epsilon=eps, nprime=npr)
                for eps in epsilons for npr in nprimes]
     with ThreadPoolExecutor(max_workers=table_threads()) as pool:
         rows = list(pool.map(lambda canon: [tail_cin(canon, eta) for eta in etas],

@@ -23,6 +23,7 @@ reruns with the same inputs and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -32,19 +33,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytic import (
-    LookupTable,
-    build_lookup_table,
-    default_table_grids,
-    lookup,
-    table_threads,
-    tail_ci,
-    tail_ci2,
-    tail_cin,
-)
+from .analytic import (LookupTable, build_lookup_table, default_table_grids, lookup,
+                       table_threads, tail_ci, tail_ci2, tail_cin)
 from .montecarlo import BLOCK_SIZE, empirical_tail_ci, empirical_tail_cin, substream
 from .network import (Dimension, NetworkSpec, SpecError, Tier, canonicalize,
-                      load_spec, reduce_network)
+                      load_spec, reduce_network, spec_from_json)
 from .numerics import InversionError
 
 
@@ -52,15 +45,10 @@ class UsageError(Exception):
     """Invalid flag combination; the message lists what would be valid."""
 
 
-def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _write_manifest(out_path, command, args_dict, started, **extra):
+def _write_outputs(out_path, write, command, args_dict, started, **extra):
+    """Write the data file by `write(out_path)`, then its manifest.  Every row
+    and manifest field is computed by now, so a command that fails writes nothing."""
+    write(out_path)
     manifest = {
         "command": command,
         "args": args_dict,
@@ -69,18 +57,16 @@ def _write_manifest(out_path, command, args_dict, started, **extra):
         "wallclock_s": round(time.monotonic() - started, 3),
         **extra,
     }
-    path = Path(str(out_path) + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    return path
+    Path(str(out_path) + ".manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _write_tails(path, rows):
-    """Write `eta,tail,method` rows at full float precision."""
+def _write_rows(path, header, rows):
+    """Write a CSV header and rows; str of a float is its full-precision repr."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("eta,tail,method\n")
-        for eta, p, method in rows:
-            fh.write(f"{eta!r},{p!r},{method}\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def _parse_floats(text, name):
@@ -107,47 +93,47 @@ def cmd_reduce(args) -> int:
 
 def cmd_tail(args) -> int:
     started = time.monotonic()
-    spec = load_spec(args.spec)
-    etas = _parse_floats(args.etas, "--etas")
+    data = args.spec.read_bytes()  # the manifest digests the bytes parsed
+    spec = spec_from_json(json.loads(data.decode("utf-8")))
+    etas = args.etas
     if sorted(etas) != etas:
         raise UsageError("--etas must be sorted ascending")
     if (args.metric, args.method) == ("cin", "fewbs"):
         raise UsageError("metric/method cin/fewbs is not supported; valid pairs: "
                          "ci/exact, ci/fewbs, ci/mc, cin/exact, cin/mc")
-    record, notes, extra = {}, [], {}  # method-specific manifest args, summary, facts
+    record = {"spec": str(args.spec), "spec_sha256": hashlib.sha256(data).hexdigest(),
+              "metric": args.metric, "method": args.method, "etas": etas}
+    notes, extra = [], {}  # method-specific summary and manifest facts
     if args.method == "mc":
         fn = empirical_tail_ci if args.metric == "ci" else empirical_tail_cin
         emp = fn(spec, etas, args.n, args.seed)
         stats = {"rejections": emp.n_rejected, "r_max": emp.r_max,
                  "stations_per_row": emp.stations_per_row}
-        record = {"n": args.n, "seed": args.seed, **stats}
+        record.update(n=args.n, seed=args.seed, **stats)
         extra = {"generator": type(substream(args.seed, 0).bit_generator).__name__,
                  "block_size": BLOCK_SIZE}
         notes = [f"n={args.n}"] + [f"{k}={v:.6g}" for k, v in stats.items()]
-        emp.to_csv(args.out)
+        write = emp.to_csv
     else:
         canon = canonicalize(spec)
         fn, system = ((tail_cin, canon) if args.metric == "cin" else
                       (tail_ci if args.method == "exact" else tail_ci2, canon.ratio))
-        _write_tails(args.out, [(eta, fn(system, eta), args.method) for eta in etas])
-    _write_manifest(args.out, "tail", {"spec": str(args.spec),
-                                       "spec_sha256": _sha256(args.spec),
-                                       "metric": args.metric, "method": args.method,
-                                       "etas": etas, **record}, started, **extra)
+        write = functools.partial(_write_rows, header="eta,tail,method", rows=[
+            (eta, fn(system, eta), args.method) for eta in etas])
+    _write_outputs(args.out, write, "tail", record, started, **extra)
     print(f"wrote {args.out} ({', '.join([f'{len(etas)} points'] + notes)})")
     return 0
 
 
 def cmd_table(args) -> int:
     started = time.monotonic()
-    d_eps, d_npr, d_eta = default_table_grids(args.l)
-    epsilons = _parse_floats(args.epsilons, "--epsilons") if args.epsilons else list(d_eps)
-    nprimes = _parse_floats(args.nprimes, "--nprimes") if args.nprimes else list(d_npr)
-    etas = _parse_floats(args.etas, "--etas") if args.etas else list(d_eta)
-    build_lookup_table(args.l, epsilons, nprimes, etas).to_csv(args.out)
-    _write_manifest(args.out, "table", {"l": args.l, "epsilons": epsilons,
-                                        "nprimes": nprimes, "etas": etas},
-                    started, threads=table_threads())
+    # an absent flag is None and takes the default grid
+    epsilons, nprimes, etas = (list(d) if g is None else g for g, d in zip(
+        (args.epsilons, args.nprimes, args.etas), default_table_grids(args.l)))
+    table = build_lookup_table(args.l, epsilons, nprimes, etas)
+    _write_outputs(args.out, table.to_csv, "table", {
+        "l": args.l, "epsilons": epsilons, "nprimes": nprimes, "etas": etas},
+        started, threads=table_threads())
     print(f"wrote {args.out} ({len(epsilons)}x{len(nprimes)}x{len(etas)} cells)")
     return 0
 
@@ -162,45 +148,44 @@ def cmd_lookup(args) -> int:
 
 def cmd_figures(args) -> int:
     started = time.monotonic()
-    outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     if args.which == "fig1":
         # density invariance: per dimension, the C/I tail curves for widely
         # different densities lie on top of each other
-        out = outdir / "fig1_density_invariance.csv"
+        name = "fig1_density_invariance.csv"
         etas = [float(e) for e in np.geomspace(0.1, 10.0, 13)]
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("l,epsilon,lambda,eta,tail,ci_halfwidth,n,seed\n")
-            for l, eps in ((1, 2.0), (2, 4.0), (3, 6.0)):
-                for lam in (0.1, 1.0, 10.0):
-                    spec = NetworkSpec(dim=Dimension(l), epsilon=eps,
-                                       tiers=(Tier(density=lam, power=1.0),))
-                    emp = empirical_tail_ci(spec, etas, args.n, args.seed)
-                    for eta, t, hw in zip(emp.etas, emp.tails, emp.halfwidths):
-                        fh.write(f"{l},{eps!r},{lam!r},{eta!r},{t!r},{hw!r},"
-                                 f"{args.n},{args.seed}\n")
+        rows = []
+        for l, eps in ((1, 2.0), (2, 4.0), (3, 6.0)):
+            for lam in (0.1, 1.0, 10.0):
+                spec = NetworkSpec(dim=Dimension(l), epsilon=eps,
+                                   tiers=(Tier(density=lam, power=1.0),))
+                emp = empirical_tail_ci(spec, etas, args.n, args.seed)
+                rows += [(l, eps, lam, eta, t, hw, args.n, args.seed)
+                         for eta, t, hw in zip(emp.etas, emp.tails, emp.halfwidths)]
+        header = "l,epsilon,lambda,eta,tail,ci_halfwidth,n,seed"
+        write = functools.partial(_write_rows, header=header, rows=rows)
     elif args.which == "fig2":
         # exact C/I versus the strongest-two closed form, planar case
-        out = outdir / "fig2_fewbs_comparison.csv"
+        name = "fig2_fewbs_comparison.csv"
         etas = [float(e) for e in np.geomspace(0.01, 100.0, 25)]
-        _write_tails(out, [(eta, tail_ci(2.0, eta), "exact") for eta in etas]
-                     + [(eta, tail_ci2(2.0, eta), "fewbs") for eta in etas])
-    elif args.which == "fig3":
-        # noise lookup curves: P(C/(I+N') > 1) against N' for several epsilon
-        out = outdir / "fig3_noise_curves.csv"
+        rows = ([(eta, tail_ci(2.0, eta), "exact") for eta in etas]
+                + [(eta, tail_ci2(2.0, eta), "fewbs") for eta in etas])
+        write = functools.partial(_write_rows, header="eta,tail,method", rows=rows)
+    else:
+        # fig3, noise lookup curves: P(C/(I+N') > 1) against N' for several epsilon
+        name = "fig3_noise_curves.csv"
         nprimes = np.logspace(-4, 2, 13)
-        build_lookup_table(2, (3.0, 4.0, 5.0), nprimes, (1.0,)).to_csv(out)
-    _write_manifest(out, "figures", {"which": args.which, "n": args.n,
-                                     "seed": args.seed}, started)
+        write = build_lookup_table(2, (3.0, 4.0, 5.0), nprimes, (1.0,)).to_csv
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    out = args.out_dir / name
+    _write_outputs(out, write, "figures", {"which": args.which, "n": args.n,
+                                           "seed": args.seed}, started)
     print(f"wrote {out}")
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
-        prog="scs",
-        description="Signal-quality tails of Poisson multi-tier networks",
-    )
+        prog="scs", description="Signal-quality tails of Poisson multi-tier networks")
     sub = p.add_subparsers(dest="command", required=True)
 
     pr = sub.add_parser("reduce", help="print the canonical reduction of a spec")
@@ -212,6 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--metric", choices=("ci", "cin"), required=True)
     pt.add_argument("--method", choices=("exact", "fewbs", "mc"), required=True)
     pt.add_argument("--etas", required=True,
+                    type=functools.partial(_parse_floats, name="--etas"),
                     help="comma-separated thresholds, ascending")
     pt.add_argument("--n", type=int, default=100_000,
                     help="realizations for --method mc")
@@ -221,9 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("table", help="tabulate C/(I+N') tails over a grid")
     pb.add_argument("--l", type=int, default=2, choices=(1, 2, 3))
-    pb.add_argument("--epsilons", help="comma-separated path-loss exponents")
-    pb.add_argument("--nprimes", help="comma-separated N' grid")
-    pb.add_argument("--etas", help="comma-separated thresholds")
+    for flag, what in (("--epsilons", "path-loss exponents"), ("--nprimes", "N' grid"),
+                       ("--etas", "thresholds")):
+        pb.add_argument(flag, type=functools.partial(_parse_floats, name=flag),
+                        help=f"comma-separated {what}; absent: the default grid")
     pb.add_argument("--out", type=Path, required=True)
     pb.set_defaults(fn=cmd_table)
 
@@ -243,9 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # a list flag's type raises UsageError, so parsing is inside the try
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -21,6 +21,7 @@ counters reproduces the sequential output exactly.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple
@@ -61,7 +62,8 @@ class UnsupportedSettingError(ValueError):
 
 def substream(seed: int, stream: int) -> np.random.Generator:
     """SFC64 substream keyed by (seed, stream): independent, reproducible, portable."""
-    seq = np.random.SeedSequence(seed % 2**64, spawn_key=(stream % 2**64,))
+    seq = np.random.SeedSequence(operator.index(seed) % 2**64,
+                                 spawn_key=(stream % 2**64,))
     return np.random.Generator(np.random.SFC64(seq))
 
 
@@ -272,13 +274,18 @@ def _empirical(etas, n, seed, method, blocks: Iterator) -> EmpiricalTail:
 
     ``blocks`` is a lazy iterator of (ratio values, rejections, truncation
     radius, expected stations per row) per block; it starts drawing only
-    after etas and n have been checked.
+    after etas, n and seed have been checked.
     """
     etas = [float(e) for e in etas]
     if not all(eta >= 0 for eta in etas):
         raise ValueError(f"every eta must be >= 0, got {etas}")
     if etas != sorted(etas):
         raise ValueError("etas must be sorted ascending")
+    for name, value in (("n", n), ("seed", seed)):
+        try:
+            operator.index(value)  # numpy integers pass
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if n < 1:
         raise ValueError("n must be >= 1")
     counts = np.zeros(len(etas), dtype=np.int64)

@@ -4,7 +4,6 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.integrate import trapezoid
 
 from scsnet import (
     CanonicalSystem,
@@ -13,6 +12,7 @@ from scsnet import (
     LookupRangeError,
     LookupTable,
     NetworkSpec,
+    SpecError,
     Tier,
     build_lookup_table,
     canonicalize,
@@ -30,9 +30,24 @@ from scsnet import (
 )
 from scsnet import analytic
 from scsnet.montecarlo import substream
-from scsnet.numerics import g_integral, invert_tail
+from scsnet.numerics import g_integral, invert_tail, kummer_1f1_neg_a
 
 D2 = Dimension(2)
+
+
+def real_axis_charfn(canon, omega):
+    """phi(w) = int_0^inf exp(-t F(w) + i w N' (l t / b)^(eps/l)) dt on the
+    real axis, unrotated: 4,000 16-point Gauss-Legendre panels on
+    [0, 80 / Re F], past which the integrand is below e^-80.  It shares F
+    with charfn_inv_cin; F itself is checked against mpmath in
+    test_numerics.py (criterion 11)."""
+    f = kummer_1f1_neg_a(canon.a, omega)
+    x, w = np.polynomial.legendre.leggauss(16)
+    edges = np.linspace(0.0, 80.0 / f.real, 4001)
+    half = np.diff(edges)[:, None] / 2
+    t = (edges[:-1, None] + half * (x + 1)).ravel()
+    noise = canon.nprime * (canon.dim.l * t / canon.dim.b) ** canon.ratio
+    return np.sum((half * w).ravel() * np.exp(-t * f + 1j * omega * noise))
 
 
 class TestCharfnInvCi:
@@ -258,17 +273,23 @@ class TestTailCin:
     def test_charfn_against_real_axis_quadrature(self, l, eps, nprime):
         # mostly non-integer eps/l: the ray's real noise exponent against
         # the unrotated integral, whose t^(eps/l) is a real power
-        dim = Dimension(l)
-        canon = CanonicalSystem(dim=dim, epsilon=eps, nprime=nprime)
-        from scsnet.numerics import kummer_1f1_neg_a
-
-        t = np.linspace(1e-10, 60.0, 400_000)
-        noise = nprime * (l * t / dim.b) ** (eps / l)
+        canon = CanonicalSystem(dim=Dimension(l), epsilon=eps, nprime=nprime)
         for omega in (0.5, 2.0, 20.0):
-            f = kummer_1f1_neg_a(l / eps, omega)
-            direct = trapezoid(np.exp(-t * f + 1j * omega * noise), t)
             got = charfn_inv_cin(canon, omega)
-            assert abs(got - direct) < 1e-6
+            assert abs(got - real_axis_charfn(canon, omega)) < 1e-10
+
+    @pytest.mark.parametrize("nprime", [1e-2, 1.0])
+    @pytest.mark.parametrize("ratio", [1.005, 1.02, 1.1, 1.2])
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_capped_ray_against_real_axis_quadrature(self, l, ratio, nprime):
+        # near eps/l = 1 and at small omega the ray angle is capped at
+        # _RAY_ARG_MAX - arg F, and the noise phase keeps an imaginary part
+        canon = CanonicalSystem(dim=Dimension(l), epsilon=l * ratio, nprime=nprime)
+        f = kummer_1f1_neg_a(canon.a, 1e-3)
+        assert canon.a * math.pi / 2 > analytic._RAY_ARG_MAX - cmath.phase(f)
+        for omega in (1e-3, 0.1, 3.0):
+            got = charfn_inv_cin(canon, omega)
+            assert abs(got - real_axis_charfn(canon, omega)) < 1e-10
 
     def test_against_mc(self, planar_canonical):
         import dataclasses
@@ -476,6 +497,22 @@ class TestLookupTable:
         path.write_text(text)
         with pytest.raises(ValueError, match=match):
             LookupTable.from_csv(path)
+
+    @pytest.mark.parametrize("l", [-3, 0, 7])
+    def test_dimension_outside_one_to_three_rejected(self, tmp_path, l):
+        # Dimension's rule, raised as a plain ValueError: a table is not a spec
+        grids = ((8.0,), (0.1,), (1.0,))
+        rule = f"dimension must be 1, 2 or 3, got {l}$"
+        with pytest.raises(ValueError, match=rule) as exc:
+            LookupTable(l, *grids, np.full((1, 1, 1), 0.5))
+        assert not isinstance(exc.value, SpecError)
+        path = tmp_path / "table.csv"
+        path.write_text(f"l,epsilon,nprime,eta,tail\n{l},8.0,0.1,1.0,0.5\n")
+        with pytest.raises(ValueError, match=f"got {l}$"):
+            LookupTable.from_csv(path)
+        with pytest.raises(ValueError, match=f"got {l}$") as exc:
+            build_lookup_table(l, *grids)
+        assert not isinstance(exc.value, SpecError)
 
     def test_values_of_the_wrong_shape_rejected(self):
         with pytest.raises(ValueError, match="values shape must match the grids"):

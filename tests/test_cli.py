@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from scsnet import canonicalize, default_r_max, load_spec, tail_cin
+from scsnet import cli
 from scsnet.cli import main
 
 
@@ -214,6 +215,25 @@ class TestTail:
         assert stations == pytest.approx(2.0 * math.pi * r_max**2, rel=1e-12)
         assert f"r_max={r_max:.6g}, stations_per_row={stations:.6g})" in printed
 
+    def test_digest_is_of_the_bytes_parsed(self, capsys, spec_path, tmp_path,
+                                           monkeypatch):
+        # the spec file changes between parsing and writing: the manifest
+        # still pins the network the tail was computed for
+        parsed = spec_path.read_bytes()
+
+        def canonicalize_then_edit(spec):
+            spec_path.write_text(json.dumps({"dimension": 1, "epsilon": 3.0,
+                                             "tiers": [{"density": 1, "power": 1}]}))
+            return canonicalize(spec)
+
+        monkeypatch.setattr(cli, "canonicalize", canonicalize_then_edit)
+        out = tmp_path / "t.csv"
+        code, _, _ = run(capsys, "tail", spec_path, "--metric", "cin",
+                         "--method", "exact", "--etas", "1", "--out", out)
+        assert code == 0
+        manifest = json.loads((tmp_path / "t.csv.manifest.json").read_text())
+        assert manifest["args"]["spec_sha256"] == hashlib.sha256(parsed).hexdigest()
+
     def test_mc_manifest_records_generator_and_block_size(self, capsys, spec_path,
                                                           tmp_path):
         # top-level facts of the sampler, kept out of the replayable args
@@ -282,6 +302,26 @@ class TestTableAndLookup:
         assert code == 2
         assert err.startswith("usage error: --nprimes must be comma-separated numbers")
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--epsilons", "--nprimes", "--etas"])
+    def test_empty_grid_flag_is_a_usage_error(self, capsys, tmp_path, flag):
+        # only an absent flag takes the default grid
+        grids = {"--epsilons": "4.0", "--nprimes": "0.1", "--etas": "1.0", flag: ""}
+        code, out, err = run(capsys, "table", *[x for kv in grids.items() for x in kv],
+                             "--out", tmp_path / "table.csv")
+        assert code == 2 and out == ""
+        assert err.startswith(f"usage error: {flag} must be comma-separated numbers")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("l", [0, 7])
+    def test_lookup_on_a_table_of_no_dimension_is_an_error(self, capsys, spec_path,
+                                                           tmp_path, l):
+        table = tmp_path / "table.csv"
+        table.write_text(f"l,epsilon,nprime,eta,tail\n{l},8.0,0.1,1.0,0.5\n")
+        code, out, err = run(capsys, "lookup", spec_path, "--table", table,
+                             "--eta", "1")
+        assert code == 1 and out == ""
+        assert err == f"error: lookup table dimension must be 1, 2 or 3, got {l}\n"
 
     def test_round_trip_and_query(self, capsys, spec_path, tmp_path, monkeypatch):
         monkeypatch.setenv("SCS_THREADS", "2")
@@ -419,6 +459,14 @@ class TestFigures:
             for (t1, h1) in pts:
                 for (t2, h2) in pts:
                     assert abs(t1 - t2) <= math.hypot(h1, h2) + 1e-12
+
+    def test_failed_fig1_writes_nothing(self, capsys, tmp_path):
+        # every row is computed before the data file is opened
+        code, _, err = run(capsys, "figures", "--which", "fig1", "--n", "0",
+                           "--out-dir", tmp_path / "figs")
+        assert code == 1
+        assert err == "error: n must be >= 1\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestManifestContract:

@@ -27,6 +27,7 @@ from scsnet import (
     substream,
     tail_ci,
 )
+from scsnet import montecarlo
 from scsnet.analytic import default_table_grids
 from scsnet.montecarlo import (
     _MAX_BLOCK_STATIONS,
@@ -325,6 +326,25 @@ class TestEmpiricalTails:
     def test_unsorted_etas_rejected(self):
         with pytest.raises(ValueError):
             empirical_tail_ci(canonical(), [2.0, 1.0], 1_000, 0)
+
+    @pytest.mark.parametrize("entry", [empirical_tail_ci, empirical_tail_cin,
+                                       empirical_tail_fewbs])
+    @pytest.mark.parametrize("n,seed,name", [(1e4, 0, "n"), (1000, 1.5, "seed"),
+                                             ("1000", 0, "n"), (1000, None, "seed")])
+    def test_non_integer_n_or_seed_refused_before_any_draw(self, monkeypatch, entry,
+                                                           n, seed, name):
+        draws = []
+        monkeypatch.setattr(montecarlo, "substream",
+                            lambda *args: draws.append(args) or substream(*args))
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            entry(canonical(noise=0.1), [1.0], n, seed)
+        assert draws == []
+
+    def test_numpy_integer_n_and_seed_accepted(self):
+        want = empirical_tail_cin(canonical(noise=0.1), [1.0], 1_000, 5)
+        got = empirical_tail_cin(canonical(noise=0.1), [1.0], np.int64(1_000),
+                                 np.uint32(5))
+        assert got.tails == want.tails
 
     def test_csv_format(self, tmp_path):
         emp = empirical_tail_ci(canonical(), [1.0], 2_000, 3)
