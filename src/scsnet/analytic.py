@@ -439,7 +439,11 @@ def lookup(table: LookupTable, spec: NetworkSpec, eta: float) -> float:
     interpolated in (epsilon, log N') at the requested eta, which must be in
     table.etas.  Queries outside the grid hull raise rather than extrapolate.
     """
-    canon = canonicalize(spec)
+    return _read_out(table, canonicalize(spec), eta)
+
+
+def _read_out(table: LookupTable, canon: CanonicalSystem, eta: float) -> float:
+    """lookup's read-out, for a spec already reduced to canon."""
     if canon.dim.l != table.l:
         raise LookupRangeError(
             f"table is for l={table.l}, spec has l={canon.dim.l}"

@@ -33,9 +33,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytic import (LookupTable, build_lookup_table, default_table_grids, lookup,
+from .analytic import (LookupTable, _read_out, build_lookup_table, default_table_grids,
                        table_threads, tail_ci, tail_ci2, tail_cin)
-from .montecarlo import BLOCK_SIZE, empirical_tail_ci, empirical_tail_cin, substream
+from .montecarlo import (BLOCK_SIZE, empirical_tail_ci, empirical_tail_cin,
+                         sampler_threads, substream)
 from .network import (Dimension, NetworkSpec, SpecError, Tier, canonicalize,
                       load_spec, reduce_network, spec_from_json)
 from .numerics import InversionError
@@ -111,7 +112,7 @@ def cmd_tail(args) -> int:
                  "stations_per_row": emp.stations_per_row}
         record.update(n=args.n, seed=args.seed, **stats)
         extra = {"generator": type(substream(args.seed, 0).bit_generator).__name__,
-                 "block_size": BLOCK_SIZE}
+                 "block_size": BLOCK_SIZE, "threads": sampler_threads()}
         notes = [f"n={args.n}"] + [f"{k}={v:.6g}" for k, v in stats.items()]
         write = emp.to_csv
     else:
@@ -139,10 +140,9 @@ def cmd_table(args) -> int:
 
 
 def cmd_lookup(args) -> int:
-    table, spec = LookupTable.from_csv(args.table), load_spec(args.spec)
-    value, canon = lookup(table, spec, args.eta), canonicalize(spec)
-    print(json.dumps({"eta": args.eta, "tail": value, "epsilon": canon.epsilon,
-                      "nprime": canon.nprime}, sort_keys=True))
+    table, canon = LookupTable.from_csv(args.table), canonicalize(load_spec(args.spec))
+    print(json.dumps({"eta": args.eta, "tail": _read_out(table, canon, args.eta),
+                      "epsilon": canon.epsilon, "nprime": canon.nprime}, sort_keys=True))
     return 0
 
 

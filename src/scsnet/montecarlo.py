@@ -13,16 +13,19 @@ sized by that.
 Reproducibility contract: realization j lives in block j // BLOCK_SIZE at
 row j % BLOCK_SIZE, and block b of seed s draws from
 SFC64(SeedSequence(s, spawn_key=(b,))).  Results are bit-identical for a given
-(seed, spec, n), and because blocks own disjoint substreams they are
-independent of any scheduling, so a parallel driver that merges per-block
-counters reproduces the sequential output exactly.
+(seed, spec, n).  Blocks run on a thread pool, one thread per usable CPU
+(sampler_threads); because they own disjoint substreams and are merged in
+block order, the output is the same for any thread count.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import os
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple
 
@@ -42,6 +45,7 @@ __all__ = [
     "UnsupportedSettingError",
     "EmpiricalTail",
     "substream",
+    "sampler_threads",
     "default_r_max",
     "empirical_tail_ci",
     "empirical_tail_cin",
@@ -50,9 +54,9 @@ __all__ = [
 
 BLOCK_SIZE = 512  # rows; keeps a tier's draws near cache size
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
-# Expected stations per block, over all tiers, above which r_max is refused
-# (the draw buffer holds 2 doubles a station: 2^25 stations are 512 MiB; the
-# l = 2, eps = 3 canonical field needs 5e6 at its default radius).
+# Expected stations per block, over all tiers, above which r_max is refused.
+# A thread's draw buffer holds 2 doubles a station and the pool runs at most
+# _MAX_BLOCK_STATIONS // stations threads, so all buffers stay within 512 MiB.
 _MAX_BLOCK_STATIONS = 1 << 25
 
 
@@ -65,6 +69,12 @@ def substream(seed: int, stream: int) -> np.random.Generator:
     seq = np.random.SeedSequence(operator.index(seed) % 2**64,
                                  spawn_key=(stream % 2**64,))
     return np.random.Generator(np.random.SFC64(seq))
+
+
+def sampler_threads() -> int:
+    """Threads the block sampler runs on: one per CPU this process may use."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)  # sched_getaffinity is not on every platform
 
 
 @dataclass(frozen=True)
@@ -117,8 +127,8 @@ def _stations_per_row(spec: NetworkSpec, r_max: float) -> float:
         return float(lam * spec.dim.b / spec.dim.l * np.float64(r_max)**spec.dim.l)
 
 
-class _DrawBuffer:
-    """Per-station draw scratch (U, then Z) reused across blocks; grows on need."""
+class _DrawBuffer(threading.local):
+    """Per-station draw scratch (U, then Z), one per thread, reused across blocks."""
     buf = np.empty((2, 0))
 
     def take(self, stations: int):
@@ -210,20 +220,31 @@ def _simulate_blocks(spec: NetworkSpec, r_max: float, n: int, seed: int,
             f"r_max={r_max:.6g} expects {stations:.3g} stations in a block of {rows}"
             f" rows, above the limit of {_MAX_BLOCK_STATIONS}; pass a smaller r_max")
     buf = _DrawBuffer()
+
+    def block(rows, rng):
+        p_s, p_i, ok = _block_ps_pi(spec, r_max, rows, rng, buf)
+        rejected = 0
+        while not ok.all():
+            bad = ~ok
+            rejected += (redrawn := int(bad.sum()))
+            p_s[bad], p_i[bad], ok[bad] = _block_ps_pi(spec, r_max, redrawn, rng, buf)
+        return p_s, p_i, rejected
+
+    # at most 2 blocks a thread in flight; substreams are made in this thread
+    threads = min(sampler_threads(), int(_MAX_BLOCK_STATIONS // max(stations, 1.0)))
+    pool, pending = ThreadPoolExecutor(max_workers=threads), []
     try:
         for rows, rng in _blocks(n, seed, stream_base):
-            p_s, p_i, ok = _block_ps_pi(spec, r_max, rows, rng, buf)
-            rejected = 0
-            while not ok.all():
-                bad = ~ok
-                rejected += int(bad.sum())
-                ps2, pi2, ok2 = _block_ps_pi(spec, r_max, int(bad.sum()), rng, buf)
-                p_s[bad], p_i[bad] = ps2, pi2
-                ok[bad] = ok2
-            yield p_s, p_i, rejected
+            pending.append(pool.submit(block, rows, rng))
+            if len(pending) == 2 * threads:
+                yield pending.pop(0).result()
+        while pending:
+            yield pending.pop(0).result()
     except FloatingPointError as exc:
         raise UnsupportedSettingError(
             f"received powers at r_max={r_max:.6g} overflow the float range") from exc
+    finally:  # a closed or failed run leaves no thread behind
+        pool.shutdown(cancel_futures=True)
 
 
 def default_r_max(spec: NetworkSpec, *, seed: int = 0) -> float:

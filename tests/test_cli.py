@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from scsnet import canonicalize, default_r_max, load_spec, tail_cin
-from scsnet import cli
+from scsnet import (LookupTable, canonicalize, default_r_max, load_spec, lookup,
+                    tail_cin)
+from scsnet import analytic, cli, montecarlo
 from scsnet.cli import main
 
 
@@ -235,19 +236,33 @@ class TestTail:
         assert manifest["args"]["spec_sha256"] == hashlib.sha256(parsed).hexdigest()
 
     def test_mc_manifest_records_generator_and_block_size(self, capsys, spec_path,
-                                                          tmp_path):
+                                                          tmp_path, monkeypatch):
         # top-level facts of the sampler, kept out of the replayable args
+        facts = {"generator", "block_size", "threads"}
         for method in ("mc", "exact"):
             out = tmp_path / f"{method}.csv"
             code, _, _ = run(capsys, "tail", spec_path, "--metric", "ci", "--method",
                              method, "--etas", "1", "--n", "100", "--out", out)
             assert code == 0
             manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
-            assert not {"generator", "block_size"} & set(manifest["args"])
+            assert not facts & set(manifest["args"])
             if method == "mc":
-                assert (manifest["generator"], manifest["block_size"]) == ("SFC64", 512)
+                assert ((manifest["generator"], manifest["block_size"], manifest["threads"])
+                        == ("SFC64", 512, montecarlo.sampler_threads()))
             else:
-                assert not {"generator", "block_size"} & set(manifest)
+                assert not facts & set(manifest)
+        # the thread count is recorded and changes no byte of the data
+        data = []
+        for threads in (1, 3):
+            for module in (montecarlo, cli):  # the sampler's name and cli's import
+                monkeypatch.setattr(module, "sampler_threads", lambda t=threads: t)
+            out = tmp_path / f"mc{threads}.csv"
+            run(capsys, "tail", spec_path, "--metric", "cin", "--method", "mc",
+                "--etas", "0.5,1,2", "--n", "2001", "--seed", "7", "--out", out)
+            manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+            assert manifest["threads"] == threads
+            data.append(out.read_bytes())
+        assert data[0] == data[1]
 
     @pytest.mark.parametrize("sigma_db,argv", [
         (100.0, ["tail", "--metric", "cin", "--method", "mc", "--etas", "1",
@@ -363,6 +378,29 @@ class TestTableAndLookup:
             main(["lookup", str(spec_path), "--table", str(table), "--eta", "1",
                   "--json"])
         assert exc.value.code == 2
+
+    def test_lookup_reduces_its_spec_once(self, capsys, spec_path, tmp_path,
+                                          monkeypatch):
+        table = tmp_path / "table.csv"
+        run(capsys, "table", "--l", "2", "--epsilons", "3.5,4.5",
+            "--nprimes", "0.01,0.1", "--etas", "1.0", "--out", table)
+        canon = canonicalize(load_spec(spec_path))
+        expected = json.dumps({"eta": 1.0, "epsilon": canon.epsilon,
+                               "nprime": canon.nprime,
+                               "tail": lookup(LookupTable.from_csv(table),
+                                              load_spec(spec_path), 1.0)},
+                              sort_keys=True) + "\n"
+        calls = []
+
+        def counted(spec):
+            calls.append(spec)
+            return canonicalize(spec)
+
+        for module in (cli, analytic):
+            monkeypatch.setattr(module, "canonicalize", counted)
+        code, out, _ = run(capsys, "lookup", spec_path, "--table", table, "--eta", "1")
+        assert code == 0 and out == expected
+        assert len(calls) == 1
 
     def test_repeated_grid_value_writes_nothing(self, capsys, tmp_path):
         # a repeated eta would give a table that from_csv rejects

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 import time
 import tracemalloc
 
@@ -24,6 +25,7 @@ from scsnet import (
     empirical_tail_cin,
     empirical_tail_fewbs,
     heard_tiers,
+    spec_from_json,
     substream,
     tail_ci,
 )
@@ -497,3 +499,61 @@ class TestSeeding:
         # the radius is solved so that sd ~ 1% of typical interference, and
         # not sized by the mean, which would make it ~20x smaller
         assert 0.005 <= far.std() / float(np.median(p_i)) <= 0.02
+
+
+class TestThreadPool:
+    # the README network: sectored, shadowed and noisy, two tiers
+    README_SPEC = spec_from_json({
+        "dimension": 2, "epsilon": 4.0, "noise": 1.0e-2,
+        "fading": {"type": "lognormal", "sigma_db": 8.0},
+        "tiers": [{"density": 1.0, "power": 10.0,
+                   "sector": {"gain": 20.0, "beamwidth_deg": 120.0}},
+                  {"density": 5.0, "power": 0.1}],
+    })
+
+    @pytest.mark.parametrize("case", ["default radius", "n=20,001", "redraws"])
+    def test_thread_count_changes_no_output(self, monkeypatch, case):
+        # blocks own their substreams and leave the pool in block order
+        run = {
+            # the pilot that sizes the radius runs on the pool too
+            "default radius": lambda: empirical_tail_cin(
+                self.README_SPEC, [0.1, 1.0, 10.0], 5_000, 2),
+            "n=20,001": lambda: empirical_tail_ci(canonical(), [0.5, 1.0, 2.0],
+                                                  20_001, 4),
+            "redraws": lambda: empirical_tail_ci(
+                dataclasses.replace(canonical(), fading=LogNormalFading(1.0)),
+                [0.0, 1.0], 20_000, 3, r_max=0.3),
+        }[case]
+        results = []
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(montecarlo, "sampler_threads", lambda t=threads: t)
+            results.append(run())
+        assert results[0] == results[1] == results[2]
+        assert (results[0].n_rejected > 0) == (case == "redraws")
+
+    def test_no_thread_is_left_behind(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "sampler_threads", lambda: 3)
+        start = threading.active_count()
+        blocks = _simulate_blocks(canonical(), 3.0, 20 * BLOCK_SIZE, 0)
+        next(blocks)
+        assert start < threading.active_count() <= start + 3
+        blocks.close()  # with blocks still queued and running
+        assert threading.active_count() == start
+        # the refusal is raised in a worker and re-raised by the consumer
+        with pytest.raises(UnsupportedSettingError,
+                           match="received powers at r_max=1 overflow the float range"):
+            empirical_tail_ci(canonical(l=1, eps=200.0), [1.0], 20_000, 0, r_max=1.0)
+        assert threading.active_count() == start
+
+    def test_draw_buffers_stay_within_the_station_limit(self, monkeypatch):
+        # each thread's buffer holds a block's stations, so the pool shrinks
+        # to keep all of them under the limit
+        r_max = 10.0
+        stations = BLOCK_SIZE * montecarlo._stations_per_row(canonical(), r_max)
+        monkeypatch.setattr(montecarlo, "sampler_threads", lambda: 8)
+        monkeypatch.setattr(montecarlo, "_MAX_BLOCK_STATIONS", int(2.5 * stations))
+        start = threading.active_count()
+        blocks = _simulate_blocks(canonical(), r_max, 40 * BLOCK_SIZE, 0)
+        next(blocks)
+        assert start < threading.active_count() <= start + 2
+        blocks.close()
