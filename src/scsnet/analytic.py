@@ -28,8 +28,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
@@ -59,7 +57,6 @@ __all__ = [
     "build_lookup_table",
     "default_table_grids",
     "lookup",
-    "table_threads",
 ]
 
 
@@ -401,34 +398,21 @@ def default_table_grids(l: int = 2):
     return epsilons, nprimes, etas
 
 
-def table_threads() -> int:
-    """The threads build_lookup_table uses: SCS_THREADS, default 1; any
-    value but a positive integer raises ValueError naming SCS_THREADS."""
-    text = os.environ.get("SCS_THREADS", "1")
-    if not (text.strip().isdecimal() and int(text) > 0):
-        raise ValueError(f"SCS_THREADS must be a positive integer, got {text!r}")
-    return int(text)
-
-
 def build_lookup_table(l: int, epsilon_grid: Sequence[float],
                        nprime_grid: Sequence[float],
                        eta_grid: Sequence[float]) -> LookupTable:
     """Tabulate tail_cin, at its default tol, over the grid.
 
     The grids are checked as LookupTable checks them, before any cell is
-    computed, and so is SCS_THREADS (table_threads): the (epsilon, N') rows
-    are independent and always run on a pool of that many threads, 1 by
-    default.  pool.map keeps the systems' row-major (epsilon, N') order, so
-    the output is identical for any thread count.
+    computed.  The cells are then computed one after another in the calling
+    thread, in row-major (epsilon, N', eta) order; only the Monte Carlo
+    sampler uses several threads.
     """
     grids = _grids(l, epsilon_grid, nprime_grid, eta_grid)
     epsilons, nprimes, etas = grids.values()
-    systems = [CanonicalSystem(dim=Dimension(l), epsilon=eps, nprime=npr)
-               for eps in epsilons for npr in nprimes]
-    with ThreadPoolExecutor(max_workers=table_threads()) as pool:
-        rows = list(pool.map(lambda canon: [tail_cin(canon, eta) for eta in etas],
-                             systems))
-    values = np.reshape(rows, (len(epsilons), len(nprimes), len(etas)))
+    dim = Dimension(l)
+    values = np.array([[[tail_cin(CanonicalSystem(dim=dim, epsilon=eps, nprime=npr), eta)
+                         for eta in etas] for npr in nprimes] for eps in epsilons])
     return LookupTable(l=l, values=values, **grids)
 
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .analytic import (LookupTable, _read_out, build_lookup_table, default_table_grids,
-                       table_threads, tail_ci, tail_ci2, tail_cin)
+                       tail_ci, tail_ci2, tail_cin)
 from .montecarlo import (BLOCK_SIZE, empirical_tail_ci, empirical_tail_cin,
                          sampler_threads, substream)
 from .network import (Dimension, NetworkSpec, SpecError, Tier, canonicalize,
@@ -134,7 +134,7 @@ def cmd_table(args) -> int:
     table = build_lookup_table(args.l, epsilons, nprimes, etas)
     _write_outputs(args.out, table.to_csv, "table", {
         "l": args.l, "epsilons": epsilons, "nprimes": nprimes, "etas": etas},
-        started, threads=table_threads())
+        started)
     print(f"wrote {args.out} ({len(epsilons)}x{len(nprimes)}x{len(etas)} cells)")
     return 0
 

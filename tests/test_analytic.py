@@ -1,5 +1,6 @@
 import cmath
 import math
+import threading
 
 import mpmath as mp
 import numpy as np
@@ -437,10 +438,23 @@ class TestLookupTable:
         direct = tail_cin(canonicalize(spec), 1.0)
         assert got == pytest.approx(direct, abs=1e-2)
 
-    def test_thread_count_does_not_change_values(self, table, monkeypatch):
-        monkeypatch.setenv("SCS_THREADS", "3")
-        threaded = build_lookup_table(2, [3.5, 4.0], [1e-6, 0.1, 1.0], [0.5, 1.0])
-        np.testing.assert_array_equal(threaded.values, table.values)
+    def test_cells_run_in_the_calling_thread(self, table, monkeypatch):
+        # every cell is a tail_cin call in this thread, row-major (epsilon,
+        # N', eta), with no worker thread started alongside
+        calls, before = [], threading.active_count()
+
+        def recording_tail_cin(canon, eta):
+            calls.append((canon.epsilon, canon.nprime, eta,
+                          threading.current_thread(), threading.active_count()))
+            return tail_cin(canon, eta)
+
+        monkeypatch.setattr(analytic, "tail_cin", recording_tail_cin)
+        again = build_lookup_table(2, [3.5, 4.0], [1e-6, 0.1, 1.0], [0.5, 1.0])
+        here = threading.current_thread()
+        assert calls == [(eps, npr, eta, here, before) for eps in table.epsilons
+                         for npr in table.nprimes for eta in table.etas]
+        assert threading.active_count() == before
+        np.testing.assert_array_equal(again.values, table.values)
 
     def test_csv_round_trip_exact(self, table, tmp_path):
         path = tmp_path / "table.csv"
@@ -665,20 +679,6 @@ def test_nan_grid_or_noise_fails_fast(entry, name):
 
 
 GOOD_GRIDS = {"epsilons": (3.0, 4.0), "nprimes": (0.1, 1.0), "etas": (0.5, 1.0)}
-
-
-@pytest.mark.parametrize("value", ["0", "-2", "abc"])
-def test_bad_thread_count_fails_before_any_cell(value, monkeypatch):
-    monkeypatch.setenv("SCS_THREADS", value)
-    with pytest.raises(ValueError, match="SCS_THREADS"):
-        analytic.table_threads()
-    calls = []
-    monkeypatch.setattr(analytic, "tail_cin",
-                        lambda *args, **kwargs: calls.append(args) or 0.5)
-    monkeypatch.setattr(analytic, "ThreadPoolExecutor", None)  # no pool either
-    with pytest.raises(ValueError, match="SCS_THREADS"):
-        build_lookup_table(2, *GOOD_GRIDS.values())
-    assert calls == []
 
 
 @pytest.mark.parametrize("fault", ["repeated", "unsorted", "nan", "inf"])

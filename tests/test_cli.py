@@ -338,8 +338,7 @@ class TestTableAndLookup:
         assert code == 1 and out == ""
         assert err == f"error: lookup table dimension must be 1, 2 or 3, got {l}\n"
 
-    def test_round_trip_and_query(self, capsys, spec_path, tmp_path, monkeypatch):
-        monkeypatch.setenv("SCS_THREADS", "2")
+    def test_round_trip_and_query(self, capsys, spec_path, tmp_path):
         table = tmp_path / "table.csv"
         code, _, _ = run(capsys, "table", "--l", "2", "--epsilons", "4.0",
                          "--nprimes", "0.01,0.1", "--etas", "1.0",
@@ -347,7 +346,8 @@ class TestTableAndLookup:
         assert code == 0
         manifest = json.loads((tmp_path / "table.csv.manifest.json").read_text())
         assert manifest["command"] == "table"
-        assert manifest["threads"] == 2
+        # the table runs in the calling thread, so its manifest has no threads
+        assert set(manifest) == {"args", "command", "outputs", "tool_version", "wallclock_s"}
         # grid-point query: reduce(spec) gives N'=0.03125, inside the hull
         code, out, _ = run(capsys, "lookup", spec_path, "--table", table,
                            "--eta", "1.0")
@@ -417,15 +417,6 @@ class TestTableAndLookup:
                            "--nprimes", "1e5", "--etas", "0.5", "--out", table)
         assert code == 1
         assert err.startswith("error: char_scale")
-        assert list(tmp_path.iterdir()) == []
-
-    def test_bad_thread_count_writes_nothing(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("SCS_THREADS", "abc")
-        table = tmp_path / "table.csv"
-        code, _, err = run(capsys, "table", "--l", "2", "--epsilons", "4.0",
-                           "--nprimes", "0.1", "--etas", "1.0", "--out", table)
-        assert code == 1
-        assert "SCS_THREADS" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_nprime_range_is_not_an_option(self, capsys, tmp_path):

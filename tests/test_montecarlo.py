@@ -32,7 +32,6 @@ from scsnet import (
 from scsnet import montecarlo
 from scsnet.analytic import default_table_grids
 from scsnet.montecarlo import (
-    _MAX_BLOCK_STATIONS,
     BLOCK_SIZE,
     _DrawBuffer,
     _block_ps_pi,
@@ -459,9 +458,24 @@ class TestSeeding:
         finally:
             tracemalloc.stop()
         assert peak < 100_000  # refused before any array was allocated
-        # eps = 3 at its default radius (about 4e7 per block) stays allowed
-        r3 = default_r_max(canonical(eps=3.0))
-        assert BLOCK_SIZE * D2.b * r3**2 / 2 < _MAX_BLOCK_STATIONS
+
+    @pytest.mark.parametrize("share", [0.9, 1.1])
+    def test_station_limit_is_the_boundary(self, share, monkeypatch):
+        # a block expecting share x the limit is answered below it and
+        # refused above it, before any draw
+        spec, r_max = canonical(), 3.5
+        stations = BLOCK_SIZE * montecarlo._stations_per_row(spec, r_max)
+        monkeypatch.setattr(montecarlo, "_MAX_BLOCK_STATIONS", stations / share)
+        draws = []
+        monkeypatch.setattr(montecarlo, "_block_ps_pi",
+                            lambda *args: draws.append(args) or _block_ps_pi(*args))
+        if share < 1.0:
+            emp = empirical_tail_ci(spec, [1.0], BLOCK_SIZE, 0, r_max=r_max)
+            assert emp.n == BLOCK_SIZE and draws
+        else:
+            with pytest.raises(UnsupportedSettingError, match="r_max=.*stations"):
+                empirical_tail_ci(spec, [1.0], BLOCK_SIZE, 0, r_max=r_max)
+            assert draws == []
 
     def test_epsilon_near_l_is_answered(self):
         # at l = 2, eps = 2.001 the far field's mean is huge but compensated,
