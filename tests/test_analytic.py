@@ -456,6 +456,16 @@ class TestLookupTable:
         assert threading.active_count() == before
         np.testing.assert_array_equal(again.values, table.values)
 
+    @pytest.mark.parametrize("value", ["0", "-2", "abc", "3"])
+    def test_stale_thread_variable_changes_nothing(self, value, table, monkeypatch):
+        # SCS_THREADS no longer exists: a value left in the environment is
+        # neither refused nor obeyed
+        monkeypatch.setenv("SCS_THREADS", value)
+        before = threading.active_count()
+        again = build_lookup_table(2, [3.5, 4.0], [1e-6, 0.1, 1.0], [0.5, 1.0])
+        assert threading.active_count() == before
+        np.testing.assert_array_equal(again.values, table.values)
+
     def test_csv_round_trip_exact(self, table, tmp_path):
         path = tmp_path / "table.csv"
         table.to_csv(path)

@@ -419,6 +419,17 @@ class TestTableAndLookup:
         assert err.startswith("error: char_scale")
         assert list(tmp_path.iterdir()) == []
 
+    def test_stale_thread_variable_changes_no_byte(self, capsys, tmp_path, monkeypatch):
+        # a leftover SCS_THREADS, once an error when malformed, is ignored
+        args = ("table", "--l", "2", "--epsilons", "4.0", "--nprimes", "0.1",
+                "--etas", "1.0", "--out")
+        assert run(capsys, *args, tmp_path / "plain.csv")[0] == 0
+        monkeypatch.setenv("SCS_THREADS", "abc")
+        assert run(capsys, *args, tmp_path / "stale.csv")[0] == 0
+        assert (tmp_path / "stale.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+        manifest = json.loads((tmp_path / "stale.csv.manifest.json").read_text())
+        assert "threads" not in manifest
+
     def test_nprime_range_is_not_an_option(self, capsys, tmp_path):
         # the default N' grid is the one log-spaced grid; others go in --nprimes
         with pytest.raises(SystemExit) as exc:
