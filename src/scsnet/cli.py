@@ -148,6 +148,7 @@ def cmd_lookup(args) -> int:
 
 def cmd_figures(args) -> int:
     started = time.monotonic()
+    record = {"which": args.which}  # n and seed only where something is drawn
     if args.which == "fig1":
         # density invariance: per dimension, the C/I tail curves for widely
         # different densities lie on top of each other
@@ -162,6 +163,7 @@ def cmd_figures(args) -> int:
                 rows += [(l, eps, lam, eta, t, hw, args.n, args.seed)
                          for eta, t, hw in zip(emp.etas, emp.tails, emp.halfwidths)]
         header = "l,epsilon,lambda,eta,tail,ci_halfwidth,n,seed"
+        record.update(n=args.n, seed=args.seed)
         write = functools.partial(_write_rows, header=header, rows=rows)
     elif args.which == "fig2":
         # exact C/I versus the strongest-two closed form, planar case
@@ -177,8 +179,7 @@ def cmd_figures(args) -> int:
         write = build_lookup_table(2, (3.0, 4.0, 5.0), nprimes, (1.0,)).to_csv
     args.out_dir.mkdir(parents=True, exist_ok=True)
     out = args.out_dir / name
-    _write_outputs(out, write, "figures", {"which": args.which, "n": args.n,
-                                           "seed": args.seed}, started)
+    _write_outputs(out, write, "figures", record, started)
     print(f"wrote {out}")
     return 0
 

@@ -35,7 +35,6 @@ from .network import (
     LogNormalFading,
     MomentFading,
     NetworkSpec,
-    NoFading,
     heard_tiers,
 )
 
@@ -159,7 +158,7 @@ def _block_ps_pi(spec: NetworkSpec, r_max: float, rows: int, rng, buf: _DrawBuff
     """
     l, b, eps = spec.dim.l, spec.dim.b, spec.epsilon
     far = _far_field_mean(spec, r_max)
-    sigma = spec.fading.sigma if isinstance(spec.fading, LogNormalFading) else 0.0
+    sigma = spec.fading.sigma  # _far_field_mean has refused MomentFading
     p_s, total = np.zeros(rows), np.zeros(rows)
     for lam, power in heard_tiers(spec):
         counts, rx = _tier_points(rng, rows, lam * b * r_max**l / l, buf)
@@ -282,7 +281,7 @@ def _require_fewbs_setting(spec: NetworkSpec):
             "the strongest-two approximation is derived for a single"
             " unsectored tier with constant power"
         )
-    if not isinstance(spec.fading, NoFading):
+    if spec.fading != LogNormalFading(0.0):
         raise UnsupportedSettingError(
             "the strongest-two approximation is derived without fading"
         )

@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 __all__ = [
     "Dimension",
     "Sector",
     "Tier",
-    "NoFading",
     "LogNormalFading",
     "MomentFading",
     "Fading",
@@ -88,10 +87,17 @@ class Dimension:
     def b(self) -> float:
         return _B_BY_DIM[self.l]
 
+    def check_epsilon(self, epsilon: float):
+        """Refuse a path-loss exponent that is not finite and > l."""
+        if not (math.isfinite(epsilon) and epsilon > self.l):
+            raise SpecError(f"path-loss exponent must be finite and exceed the "
+                            f"dimension: epsilon={epsilon}, l={self.l}")
+
 
 @dataclass(frozen=True)
 class Sector:
-    """Ideal sector antenna: gain over a beamwidth, zero outside it."""
+    """Ideal sector antenna: gain over a beamwidth, zero outside it.  A facing
+    station is heard at the gain in place of its tier's power (heard_tiers)."""
 
     gain: float
     beamwidth: float  # radians, in (0, 2*pi]
@@ -112,7 +118,8 @@ class Sector:
 
 @dataclass(frozen=True)
 class Tier:
-    """One homogeneous layer: density, constant power, optional sectoring."""
+    """One homogeneous layer: density, constant power, optional sectoring.  A
+    sectored tier is heard at its sector gain, so its power is never read."""
 
     density: float
     power: float
@@ -126,19 +133,11 @@ class Tier:
 
 
 @dataclass(frozen=True)
-class NoFading:
-    """Unit shadow fading on every link."""
-
-    def moment(self, a: float) -> float:
-        return 1.0
-
-
-@dataclass(frozen=True)
 class LogNormalFading:
     """Psi = exp(sigma * Z), Z standard normal; sigma in natural-log units.
 
     E[Psi^a] = exp(a^2 sigma^2 / 2); at l = 2 this is the familiar effective
-    density boost exp(2 sigma^2 / eps^2).
+    density boost exp(2 sigma^2 / eps^2).  sigma = 0 is no fading.
     """
 
     sigma: float
@@ -172,7 +171,7 @@ class MomentFading:
         return self.value
 
 
-Fading = Union[NoFading, LogNormalFading, MomentFading]
+Fading = Union[LogNormalFading, MomentFading]
 
 
 @dataclass(frozen=True)
@@ -182,7 +181,7 @@ class NetworkSpec:
     dim: Dimension
     epsilon: float
     tiers: Tuple[Tier, ...]
-    fading: Fading = field(default_factory=NoFading)
+    fading: Fading = LogNormalFading(0.0)
     noise: float = 0.0
 
     def __post_init__(self):
@@ -190,24 +189,13 @@ class NetworkSpec:
             raise SpecError("at least one tier is required")
         if not isinstance(self.tiers, tuple):
             object.__setattr__(self, "tiers", tuple(self.tiers))
-        if not math.isfinite(self.epsilon):
-            raise SpecError(f"epsilon must be finite, got {self.epsilon}")
-        if self.epsilon <= self.dim.l:
-            raise SpecError(
-                f"path-loss exponent must exceed the dimension: "
-                f"epsilon={self.epsilon} <= l={self.dim.l}"
-            )
+        self.dim.check_epsilon(self.epsilon)
         if not (self.noise >= 0 and math.isfinite(self.noise)):
             raise SpecError(f"noise must be finite and >= 0, got {self.noise}")
 
     @property
     def total_density(self) -> float:
         return sum(t.density for t in self.tiers)
-
-    @property
-    def a(self) -> float:
-        """The exponent l/epsilon that every reduction moment uses."""
-        return self.dim.l / self.epsilon
 
 
 @dataclass(frozen=True)
@@ -223,12 +211,7 @@ class CanonicalSystem:
     nprime: float
 
     def __post_init__(self):
-        if not math.isfinite(self.epsilon):
-            raise SpecError(f"epsilon must be finite, got {self.epsilon}")
-        if self.epsilon <= self.dim.l:
-            raise SpecError(
-                f"epsilon={self.epsilon} must exceed l={self.dim.l}"
-            )
+        self.dim.check_epsilon(self.epsilon)
         if not (self.nprime >= 0 and math.isfinite(self.nprime)):
             raise SpecError(f"nprime must be finite and >= 0, got {self.nprime}")
 
@@ -246,9 +229,9 @@ def heard_tiers(spec: NetworkSpec) -> List[Tuple[float, float]]:
 
     A sectored station faces the receiver with probability theta/(2*pi),
     independently per station, so a sectored tier is heard as its thinning
-    to that share of its density, at the sector gain; the facing probability
-    is planar geometry, applied verbatim in every dimension.  Tiers heard at
-    zero power are left out.
+    to that share of its density, at the sector gain in place of the tier's
+    power; the facing probability is planar geometry, applied verbatim in
+    every dimension.  Tiers heard at zero power are left out.
     """
     heard = [(t.density, t.power) if t.sector is None
              else (t.density * t.sector.face_probability, t.sector.gain)
@@ -274,7 +257,7 @@ def reduce_network(spec: NetworkSpec) -> Reduction:
     tiers; N' = 0 without noise.  A network with no heard tier, or a
     lambda_eff of 0 or inf, is rejected rather than mapped to N' = infinity.
     """
-    a = spec.a
+    a = spec.dim.l / spec.epsilon
     heard = heard_tiers(spec)
     if not heard:
         raise DegenerateNetworkError("no station can be heard: every tier has power 0")
@@ -319,11 +302,9 @@ def _number(obj: dict, key: str, where: str = "", default=None) -> float:
 
 
 def _parse_fading(obj) -> Fading:
-    if obj is None:
-        return NoFading()
-    kind = _object(obj, "fading").get("type")
+    kind = "none" if obj is None else _object(obj, "fading").get("type")
     if kind == "none":
-        return NoFading()
+        return LogNormalFading(0.0)
     if kind == "lognormal":
         return LogNormalFading(sigma_db_to_natural(_number(obj, "sigma_db", "fading.")))
     if kind == "moment":

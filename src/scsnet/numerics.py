@@ -26,7 +26,8 @@ Three numerical primitives live here:
   before the charfn is evaluated; any other miss of tol raises
   InversionError carrying the partial value.
 
-Everything is a pure function; no global mutable state.
+Every function is pure.  The only process-wide state is ``_jacobi_rule``'s
+cache of one Gauss-Jacobi rule per a, which changes no value.
 """
 
 from __future__ import annotations

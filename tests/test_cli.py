@@ -500,6 +500,20 @@ class TestFigures:
                 for (t2, h2) in pts:
                     assert abs(t1 - t2) <= math.hypot(h1, h2) + 1e-12
 
+    @pytest.mark.parametrize("which, name, extra, want", [
+        ("fig1", "fig1_density_invariance.csv", ["--n", "500", "--seed", "3"],
+         {"which": "fig1", "n": 500, "seed": 3}),
+        ("fig2", "fig2_fewbs_comparison.csv", [], {"which": "fig2"}),
+        ("fig3", "fig3_noise_curves.csv", [], {"which": "fig3"}),
+    ], ids=["fig1", "fig2", "fig3"])
+    def test_manifest_records_n_and_seed_only_where_drawn(self, capsys, tmp_path,
+                                                          which, name, extra, want):
+        code, _, _ = run(capsys, "figures", "--which", which, "--out-dir", tmp_path,
+                         *extra)
+        assert code == 0
+        manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+        assert manifest["args"] == want
+
     def test_failed_fig1_writes_nothing(self, capsys, tmp_path):
         # every row is computed before the data file is opened
         code, _, err = run(capsys, "figures", "--which", "fig1", "--n", "0",

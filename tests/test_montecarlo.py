@@ -14,7 +14,6 @@ from scsnet import (
     LogNormalFading,
     MomentFading,
     NetworkSpec,
-    NoFading,
     Sector,
     Tier,
     UnsupportedSettingError,
@@ -378,6 +377,14 @@ class TestFewBs:
         with pytest.raises(UnsupportedSettingError):
             empirical_tail_fewbs(sect, [1.0], 1_000, 0)
 
+    def test_every_spelling_of_no_fading_is_accepted(self):
+        # no fading key, "none" and 0 dB log-normal parse to one spec
+        doc = {"dimension": 2, "epsilon": 4.0, "tiers": [{"density": 1, "power": 1}]}
+        tails = [empirical_tail_fewbs(spec_from_json(d), [0.5, 1.0, 2.0], 2_000, 4)
+                 for d in (doc, {**doc, "fading": {"type": "none"}},
+                           {**doc, "fading": {"type": "lognormal", "sigma_db": 0}})]
+        assert tails[0] == tails[1] == tails[2]
+
     def test_stays_close_to_full_field(self):
         # Measured regression bound: the strongest-two tail tracks the full
         # field within 0.016 everywhere on this grid.  Above eta = 1 the
@@ -493,7 +500,7 @@ class TestSeeding:
         assert empirical_tail_ci(spec, [1.0], 100, 5).r_max == default_r_max(spec, seed=5)
         assert empirical_tail_fewbs(spec, [1.0], 100, 5).r_max is None
 
-    @pytest.mark.parametrize("fading", [NoFading(), LogNormalFading(0.5)])
+    @pytest.mark.parametrize("fading", [LogNormalFading(0.0), LogNormalFading(0.5)])
     def test_default_r_max_keeps_compensation_small(self, fading):
         spec = dataclasses.replace(canonical(), fading=fading)
         r = default_r_max(spec)

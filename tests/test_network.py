@@ -10,7 +10,6 @@ from scsnet import (
     LogNormalFading,
     MomentFading,
     NetworkSpec,
-    NoFading,
     Sector,
     SpecError,
     Tier,
@@ -22,7 +21,7 @@ from scsnet import (
 )
 
 
-def spec_of(tiers, l=2, eps=4.0, fading=NoFading(), noise=0.0):
+def spec_of(tiers, l=2, eps=4.0, fading=LogNormalFading(0.0), noise=0.0):
     return NetworkSpec(dim=Dimension(l), epsilon=eps, tiers=tuple(tiers),
                        fading=fading, noise=noise)
 
@@ -80,6 +79,17 @@ class TestValidation:
     def test_spec_epsilon_must_be_finite(self, bad):
         with pytest.raises(SpecError, match="epsilon"):
             spec_of([Tier(1.0, 1.0)], eps=bad)
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    @pytest.mark.parametrize("eps", ["l", "l-0.5", "inf", "nan"])
+    def test_spec_and_canonical_refuse_epsilon_alike(self, l, eps):
+        # one rule, owned by Dimension: finite and > l, one message
+        eps = {"l": l, "l-0.5": l - 0.5, "inf": math.inf, "nan": math.nan}[eps]
+        with pytest.raises(SpecError) as spec_err:
+            spec_of([Tier(1.0, 1.0)], l=l, eps=eps)
+        with pytest.raises(SpecError) as canon_err:
+            CanonicalSystem(dim=Dimension(l), epsilon=eps, nprime=0.0)
+        assert str(spec_err.value) == str(canon_err.value)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_spec_noise_must_be_finite(self, bad):
@@ -376,6 +386,17 @@ class TestJson:
     def test_whole_float_dimension_is_an_int(self):
         l = spec_from_json({**GOOD_DOC, "dimension": 3.0}).dim.l
         assert l == 3 and type(l) is int
+
+    def test_no_fading_has_one_spelling(self):
+        # an absent fading key, "none" and 0 dB log-normal are one law
+        specs = [spec_from_json(doc) for doc in (
+            GOOD_DOC,
+            {**GOOD_DOC, "fading": {"type": "none"}},
+            {**GOOD_DOC, "fading": {"type": "lognormal", "sigma_db": 0}},
+        )]
+        assert specs[0] == specs[1] == specs[2]
+        assert specs[0].fading == LogNormalFading(0.0)
+        assert specs[0] == spec_of([Tier(1.0, 1.0)])
 
     def test_moment_fading(self):
         spec = spec_from_json({
