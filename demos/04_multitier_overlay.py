@@ -21,6 +21,7 @@ from scsnet import (
     empirical_tail_cin,
     tail_cin,
 )
+from scsnet.network import sigma_db_to_natural
 
 D2 = Dimension(2)
 macro = Tier(density=1.0, power=1.0)
@@ -50,7 +51,7 @@ for name, added in overlays:
 
 print("\nfading and sectoring fold into the same scalar:")
 faded = NetworkSpec(dim=D2, epsilon=4.0, tiers=(macro,), noise=noise,
-                    fading=LogNormalFading(8.0 * math.log(10.0) / 10.0))
+                    fading=LogNormalFading(sigma_db_to_natural(8.0)))
 sectored = NetworkSpec(
     dim=D2, epsilon=4.0,
     tiers=(Tier(1.0, 1.0, Sector(gain=3.0, beamwidth=2 * math.pi / 3)),),

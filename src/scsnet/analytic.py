@@ -8,12 +8,11 @@ T_i for the unit-rate arrival times of the ordered station distances
   1 / 1F1(-a; 1-a; i*w) and depends on eps/l alone, and (C/(I+N'))^-1, an
   average of the charfn conditioned on the nearest-station distance;
 * exact tail probabilities P(C/I > eta) and P(C/(I+N') > eta).  Below
-  eta = 1 they come from numerical inversion of those characteristic
-  functions.  On [1, inf) at most one station can beat the threshold, and
-  Campbell-Mecke gives exact forms: the power law
-  P(C/I > eta) = sinc(pi a) eta^-a, and for C/(I+N') one smooth,
-  non-oscillating quadrature.  ``tol`` bounds whichever quadrature runs;
-  the C/I power law runs none;
+  eta = 1/4 they come from numerical inversion of those characteristic
+  functions.  On [1/4, inf) at most ceil(1/eta) <= 4 stations can beat the
+  threshold, and an exact sum of that many factorial moments gives the
+  tail; on [1, inf) it is the power law P(C/I > eta) = sinc(pi a) eta^-a,
+  times one smooth noise quadrature for C/(I+N').  ``tol`` bounds the route;
 * the strongest-two-interferer approximation C/I_2, whose tail is one
   closed-form expression on the whole range, built from the G integral;
 * a lookup table of C/(I+N') tails over (epsilon, N', eta) grids, the
@@ -42,6 +41,7 @@ from .numerics import (
     gauss_legendre_panels,
     invert_tail,
     kummer_1f1_neg_a,
+    simplex_rule,
 )
 
 __all__ = [
@@ -163,15 +163,15 @@ def tail_ci(ratio: float, eta: float, *, tol: float = 1e-6) -> float:
 
     C/I is C/(I+N') without noise, so this is tail_cin at N' = 0 on the
     system with l = 1 and eps = ratio: 1 at eta = 0, the sinc law
-    tail_ci_closed on [1, inf), and below 1 charfn_inv_ci inverted to
-    ``tol`` absolute, clamped to [0, 1].
+    tail_ci_closed on [1, inf), the factorial-moment sum on [1/4, 1), and
+    below 1/4 charfn_inv_ci inverted; to ``tol`` absolute, clamped to [0, 1].
     """
     check_ratio(ratio)
     return tail_cin(CanonicalSystem(Dimension(1), ratio, 0.0), eta, tol=tol)
 
 
 def tail_ci_closed(ratio: float, eta: float) -> float:
-    """Exact tail sin(pi a)/(pi a) * eta^-a on [1, inf), a = l/eps.
+    """Exact tail sin(pi a)/(pi a) * eta^-a on [1, inf): tail_cin_closed at N' = 0.
 
     For eta >= 1 at most one station can beat eta times the rest, so the
     tail is the mean number that do.  By Campbell-Mecke and Slivnyak that is
@@ -180,21 +180,18 @@ def tail_ci_closed(ratio: float, eta: float) -> float:
     E[I^-a] = 1 / ((b/l) Gamma(1-a) Gamma(1+a)) and the sinc constant.
     """
     check_ratio(ratio)
-    if not (eta >= 1.0):
-        raise ValueError(f"the closed form holds only on [1, inf), got eta={eta}")
-    pa = math.pi / ratio
-    return math.sin(pa) / pa * eta ** (-1.0 / ratio)
+    return tail_cin_closed(CanonicalSystem(Dimension(1), ratio, 0.0), eta)
 
 
-def _noise_damping(canon: CanonicalSystem):
-    """int_0^inf exp(-v - c v^(eps/l)) dv, c = N' k^(-eps/l): (value, error, evals).
+def _noise_damping(canon: CanonicalSystem, n: int = 1):
+    """int_0^inf v^(n-1) e^(-v - c v^(eps/l)) dv / Gamma(n): (value, error, evals).
 
-    k = (b/l) Gamma(1-a).  The integrand is positive and monotone, without
-    oscillation; its width is about s = 1 / (1 + c^(l/eps)), and v = s x puts
-    it on a unit scale for any noise level, where quad on [0, inf) would
-    otherwise miss the narrow peak of a very noisy system.  Without noise
-    the integral is 1 exactly, and no quadrature runs; with noise it is
-    below 1, so quad's rounding above 1 at tiny N' is clamped.
+    c = N' k^(-eps/l), k = (b/l) Gamma(1-a).  The integrand is positive and
+    unimodal, without oscillation; its width is about s = 1 / (1 + c^(l/eps)),
+    and v = s x puts it on a unit scale for any noise level, where quad on
+    [0, inf) would otherwise miss the narrow peak of a very noisy system.
+    Without noise the integral is 1 exactly, and no quadrature runs; with
+    noise it is below 1, so quad's rounding above 1 at tiny N' is clamped.
     """
     if canon.nprime == 0.0:
         return 1.0, 0.0, 0
@@ -205,37 +202,61 @@ def _noise_damping(canon: CanonicalSystem):
 
     def f(x):  # 0 where x^(eps/l) passes the float range: exp(-inf)
         try:
-            return math.exp(-s * x - q * x**rho)
+            return x ** (n - 1) * math.exp(-s * x - q * x**rho)
         except OverflowError:
             return 0.0
     val, err, info = quad(f, 0.0, math.inf, epsabs=1e-14, epsrel=1e-12,
                           limit=200, full_output=1)[:3]
-    return min(1.0, s * val), s * err, info["neval"]
+    scale = s**n / math.gamma(n)
+    return min(1.0, scale * val), scale * err, info["neval"]
+
+
+def _factorial_tail(canon: CanonicalSystem, eta: float, tol: float) -> float:
+    """Exact P(C/(I+N') > eta), eta >= 1/4: sum_{n=1}^N (-1)^(n+1) A_n D_n.
+
+    Term n, the n-th factorial moment of the number of stations that beat
+    eta, is 0 past N = ceil(1/eta) (Blaszczyszyn & Keeler, IEEE Trans. IT
+    2015).  Slivnyak-Mecke and the stable law of I factor it into
+    D_n = _noise_damping and, with k = Gamma(1-a) and m = 1/eta - (n-1),
+    A_n = a^(n-1) m^(na+n-1) J_n / (Gamma(na+1) k^n), where J_n integrates
+    (1 - sum z)^(na) prod_j (1 + m z_j)^(-a-1) over the (n-1)-simplex:
+    simplex_rule's 16-node rule, less its 12-node rule for the error.  A_1
+    is the sinc law.  Raises InversionError carrying the value if
+    sum_n |dA_n| D_n + A_n dD_n exceeds ``tol``.
+    """
+    a = 1.0 / canon.ratio  # C/I's exponent, so that N' = 0 gives tail_ci's floats
+    k = math.gamma(1.0 - a)
+    value, error, evals = 0.0, 0.0, 0
+    for n in range(1, math.ceil(1.0 / eta) + 1):
+        if n == 1:
+            pa = math.pi / canon.ratio
+            A, dA = math.sin(pa) / pa * eta ** -a, 0.0
+        else:
+            m = 1.0 / eta - (n - 1)
+            J, J12 = (float(np.sum(w * np.prod((1.0 + m * z) ** (-a - 1.0), axis=1)))
+                      for z, w in (simplex_rule(n - 1, n * a, q) for q in (16, 12)))
+            c = a ** (n - 1) * m ** (n * a + n - 1) / (math.gamma(n * a + 1.0) * k**n)
+            A, dA = c * J, c * abs(J - J12)
+            evals += 16 ** (n - 1) + 12 ** (n - 1)
+        D, dD, neval = _noise_damping(canon, n)
+        value += (-1) ** (n + 1) * A * D
+        error += dA * D + A * dD
+        evals += neval
+    if error > tol:
+        raise InversionError(f"factorial-moment sum missed its tolerance "
+                             f"(estimated error {error:.2e})", value, error, evals)
+    return value
 
 
 def tail_cin_closed(canon: CanonicalSystem, eta: float, *, tol: float = 1e-5) -> float:
-    """Exact P(C/(I+N') > eta) on [1, inf) by one smooth quadrature.
-
-    The argument of tail_ci_closed with the noise added to the
-    interference gives
-
-        P = eta^-a (b/l)/Gamma(1+a) int_0^inf exp(-k u - N' u^(1/a)) du,
-
-    and u = v/k leaves tail_ci_closed(eps/l, eta) times _noise_damping.
-    Raises InversionError if quad's error estimate, scaled like the value,
-    exceeds ``tol``.
-    """
+    """Exact P(C/(I+N') > eta) on [1, inf): _factorial_tail's one term,
+    tail_ci_closed times _noise_damping.  Raises InversionError if quad's
+    error estimate, scaled like the value, exceeds ``tol``."""
     if not (tol > 0):
         raise ValueError("tol must be positive")
-    scale = tail_ci_closed(canon.ratio, eta)
-    val, err, neval = _noise_damping(canon)
-    if scale * err > tol:
-        raise InversionError(
-            f"closed-form quadrature missed its tolerance "
-            f"(estimated error {scale * err:.2e})",
-            scale * val, scale * err, neval,
-        )
-    return scale * val
+    if not (eta >= 1.0):
+        raise ValueError(f"the closed form holds only on [1, inf), got eta={eta}")
+    return _factorial_tail(canon, eta, tol)
 
 
 def tail_ci2(ratio: float, eta: float) -> float:
@@ -275,15 +296,16 @@ def tail_cin(canon: CanonicalSystem, eta: float, *, tol: float = 1e-5) -> float:
     """P(C/(I+N') > eta) for the canonical system; at N' = 0 this is C/I.
 
     The one place a tail's route is chosen, for tail_ci too.  eta = 0
-    returns 1.  On [1, inf) the answer is the exact tail_cin_closed, the
-    sinc law at N' = 0.  Below 1 the reciprocal ratio's charfn is inverted:
+    returns 1.  On [1/4, inf) the answer is the exact _factorial_tail, at
+    most four terms, of which tail_cin_closed is the one-term case on
+    [1, inf).  Below 1/4 the reciprocal ratio's charfn is inverted:
     charfn_inv_ci at N' = 0, else charfn_inv_cin.  Substituting t = tau w^-a
     in the latter's integral and rotating tau = u e^{i a pi/2} gives the
     exact envelope A_N w^-a: the C/I coefficient, which invert_tail
     derives from a, damped by _noise_damping.  Noise damps the next term
     likewise, so invert_tail's remainder bound holds.  ``tol`` is the
-    absolute accuracy of whichever quadrature runs; the inverted value is
-    clamped to [0, 1].
+    absolute accuracy of whichever route runs; the value is clamped to
+    [0, 1].
     """
     if not (eta >= 0):
         raise ValueError(f"eta must be >= 0, got {eta}")
@@ -291,8 +313,8 @@ def tail_cin(canon: CanonicalSystem, eta: float, *, tol: float = 1e-5) -> float:
         raise ValueError("tol must be positive")
     if eta == 0:
         return 1.0
-    if eta >= 1.0:
-        return tail_cin_closed(canon, eta, tol=tol)
+    if eta >= 0.25:
+        return min(1.0, max(0.0, _factorial_tail(canon, eta, tol)))
     charfn = (functools.partial(charfn_inv_ci, canon.ratio) if canon.nprime == 0.0
               else functools.partial(charfn_inv_cin, canon))
     res = invert_tail(charfn, eta, p=1.0 / canon.ratio,

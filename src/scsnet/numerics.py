@@ -1,6 +1,6 @@
 """Special-function and quadrature kernels for signal-quality tail computations.
 
-Three numerical primitives live here:
+Four numerical primitives live here:
 
 * ``kummer_1f1_neg_a`` evaluates the confluent hypergeometric function
   1F1(-a; 1-a; i*w) for a in (0, 1) and real w.  This is the only 1F1 family
@@ -26,8 +26,10 @@ Three numerical primitives live here:
   before the charfn is evaluated; any other miss of tol raises
   InversionError carrying the partial value.
 
+* ``simplex_rule`` is a collapsed (Duffy) Gauss-Jacobi rule on the simplex.
+
 Every function is pure.  The only process-wide state is ``_jacobi_rule``'s
-cache of one Gauss-Jacobi rule per a, which changes no value.
+cache of the last 256 Gauss-Jacobi rules, which changes no value.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ class QuadratureResult:
 class InversionError(RuntimeError):
     """A tail quadrature missed its tolerance or ran out of its budget.
 
-    Raised by the inversion here and by the closed-form C/(I+N') integral.
+    Raised by the inversion here and by the factorial-moment tail sum.
     Carries the best partial value, its estimated error and the work done.
     """
 
@@ -86,16 +88,16 @@ _SWITCH = 30.0  # |omega| above which the Laguerre branch takes over
 _LAGUERRE_U, _LAGUERRE_W = roots_laguerre(8)
 
 
-@functools.cache
-def _jacobi_rule(a: float):
-    """24-node Gauss rule for int_0^1 t^-a f(t) dt: nodes t, weights.
+@functools.lru_cache(maxsize=256)
+def _jacobi_rule(nodes: int, power: float):
+    """Gauss rule for int_0^1 t^power f(t) dt, power > -1: nodes t, weights.
 
-    roots_jacobi(24, -a, 0) has weight (1-x)^-a on [-1, 1]; t = (1-x)/2.
-    Mapping the other end, roots_jacobi(24, 0, -a) with t = (1+x)/2, loses
-    accuracy to ~2e-12 at a near 1 through scipy's weights.
+    roots_jacobi(nodes, power, 0) has weight (1-x)^power on [-1, 1];
+    t = (1-x)/2.  Mapping the other end, roots_jacobi(24, 0, -a) with
+    t = (1+x)/2, loses accuracy to ~2e-12 at a near 1 through scipy's weights.
     """
-    x, w = roots_jacobi(24, -a, 0.0)
-    return (1.0 - x) / 2.0, w * 2.0 ** (a - 1.0)
+    x, w = roots_jacobi(nodes, power, 0.0)
+    return (1.0 - x) / 2.0, w * 2.0 ** (-power - 1.0)
 
 
 def _jacobi_1f1(a, w):
@@ -104,7 +106,7 @@ def _jacobi_1f1(a, w):
     The series coefficients (-a)_k/(1-a)_k = -a/(k-a) = -a int_0^1 t^(k-a-1)
     dt give this form; the integrand is entire against the weight t^-a.
     """
-    t, wt = _jacobi_rule(a)
+    t, wt = _jacobi_rule(24, -a)
     acc = np.zeros(w.shape, dtype=complex)
     for tj, wj in zip(t, wt):
         acc += (wj / tj) * np.expm1((1j * tj) * w)
@@ -180,6 +182,22 @@ def g_integral(lower: float, ratio: float) -> float:
 
     val, _ = quad(f, lower, math.inf, epsabs=1e-12, epsrel=1e-11, limit=200)
     return val
+
+
+def simplex_rule(dim: int, power: float, nodes: int):
+    """Product Gauss rule for int over {z >= 0, sum z <= 1} of
+    (1 - sum z)^power f(z) dz, power > -1: nodes (nodes^dim, dim), weights.
+
+    Collapsed (Duffy) coordinates z_i = t_1 ... t_{i-1} (1 - t_i) map the
+    unit cube onto the simplex with 1 - sum z = t_1 ... t_dim and Jacobian
+    prod_i t_i^(dim-i), so axis i carries the Jacobi weight
+    t_i^(power + dim - i) and only f meets the nodes.
+    """
+    axes = [_jacobi_rule(nodes, power + dim - i) for i in range(1, dim + 1)]
+    t = np.stack(np.meshgrid(*[x for x, _ in axes], indexing="ij"), -1).reshape(-1, dim)
+    w = functools.reduce(np.multiply.outer, [w for _, w in axes]).ravel()
+    lead = np.cumprod(np.concatenate([np.ones((len(t), 1)), t[:, :-1]], axis=1), axis=1)
+    return lead * (1.0 - t), w
 
 
 # ---------------------------------------------------------------------------

@@ -239,10 +239,11 @@ class TestTailCin:
         assert tail_cin(canon, 0.5) == pytest.approx(tail_ci(canon.ratio, 0.5), abs=1e-5)
 
     def test_noisy_large_ratio_inversion_refused_unevaluated(self):
-        # the noise phase scale N' (l/b)^200 Gamma(201) is past the float range
+        # the noise phase scale N' (l/b)^200 Gamma(201) is past the float
+        # range; below eta = 1/4 the tail is inverted
         canon = CanonicalSystem(dim=Dimension(1), epsilon=200.0, nprime=1.0)
         with pytest.raises(InversionError) as exc:
-            tail_cin(canon, 0.5)
+            tail_cin(canon, 0.2)
         assert exc.value.evaluations == 0
 
     def test_eta_zero(self):
@@ -397,6 +398,57 @@ class TestCinClosed:
         canon = CanonicalSystem(dim=D2, epsilon=4.0, nprime=1.0)
         with pytest.raises(ValueError):
             tail_cin_closed(canon, 0.5)
+
+
+class TestFactorialTail:
+    """tail_cin on [1/4, 1): the inclusion-exclusion sum of at most four
+    factorial moments, against the inversion that it replaced there."""
+
+    # eps and three thresholds per l; together they meet every term count
+    SYSTEMS = {1: (2.5, (0.25, 0.4, 0.75)), 2: (3.0, (0.3, 0.45, 0.99)),
+               3: (12.0, (0.26, 0.34, 0.6))}
+    # the inversion's tol: at N' = 100 a tighter one takes seconds a point
+    INVERSION_TOL = {0.0: 1e-9, 1.0: 1e-7, 100.0: 1e-6}
+
+    @pytest.mark.parametrize("nprime", [0.0, 1.0, 100.0])
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_matches_direct_inversion(self, invert_ci, invert_cin, l, nprime):
+        eps, etas = self.SYSTEMS[l]
+        canon = CanonicalSystem(dim=Dimension(l), epsilon=eps, nprime=nprime)
+        tol = self.INVERSION_TOL[nprime]
+        for eta in etas:
+            want = (invert_ci(canon.ratio, eta, tol) if nprime == 0.0
+                    else invert_cin(canon, eta, tol))
+            assert abs(tail_cin(canon, eta, tol=1e-9) - want) <= 1e-9 + tol, eta
+
+    @pytest.mark.parametrize("nprime", [0.0, 1.0])
+    @pytest.mark.parametrize("eta", [0.5, 1 / 3, 0.25],
+                             ids=["two_terms", "three_terms", "inversion"])
+    def test_continuous_where_terms_or_routes_switch(self, eta, nprime):
+        canon = CanonicalSystem(dim=D2, epsilon=4.0, nprime=nprime)
+        below, above = (tail_cin(canon, eta + d, tol=1e-9) for d in (-1e-12, 1e-12))
+        assert abs(below - above) <= 2e-9
+
+    @pytest.mark.parametrize("eta, want", [
+        (0.5, 0.0276940967), (0.75, 0.0226346511), (0.99, 0.0197049679)])
+    def test_answers_where_inversion_refused(self, eta, want):
+        # l = 1, eps = 2, N' = 1e4: values from the Levy CDF of the
+        # interference; the inversion's evaluation budget refuses these
+        canon = CanonicalSystem(dim=Dimension(1), epsilon=2.0, nprime=1e4)
+        assert abs(tail_cin(canon, eta, tol=1e-9) - want) <= 1e-9
+
+    def test_noisy_large_ratio_between_its_bounds(self):
+        # the point whose inversion test_noisy_large_ratio_inversion_refused_
+        # unevaluated refuses: noise lowers C/I's tail, and eta = 1 bounds it
+        canon = CanonicalSystem(dim=Dimension(1), epsilon=200.0, nprime=1.0)
+        assert tail_cin(canon, 1.0) <= tail_cin(canon, 0.5) <= tail_ci(200.0, 0.5) + 1e-5
+
+    def test_error_guard_carries_the_value(self):
+        canon = CanonicalSystem(dim=D2, epsilon=4.0, nprime=1.0)
+        with pytest.raises(InversionError) as info:
+            tail_cin(canon, 0.3, tol=1e-18)
+        assert info.value.error_estimate > 1e-18
+        assert info.value.partial_value == pytest.approx(tail_cin(canon, 0.3), abs=1e-12)
 
 
 @pytest.fixture(scope="module")

@@ -303,7 +303,7 @@ class TestTail:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({**doc, "tiers": [{"density": 1.0, "power": 1.0}]}))
         code, _, err = run(capsys, "tail", path, "--metric", "cin", "--method",
-                           "exact", "--etas", "0.5,2", "--out", tmp_path / "x.csv")
+                           "exact", "--etas", "0.2,2", "--out", tmp_path / "x.csv")
         assert code == 1
         assert err.startswith("error: char_scale")
         assert list(tmp_path.iterdir()) == [path]
@@ -414,7 +414,7 @@ class TestTableAndLookup:
     def test_failing_cell_writes_nothing(self, capsys, tmp_path):
         table = tmp_path / "table.csv"
         code, _, err = run(capsys, "table", "--l", "2", "--epsilons", "4.0",
-                           "--nprimes", "1e5", "--etas", "0.5", "--out", table)
+                           "--nprimes", "1e5", "--etas", "0.2", "--out", table)
         assert code == 1
         assert err.startswith("error: char_scale")
         assert list(tmp_path.iterdir()) == []

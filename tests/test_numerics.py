@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -9,11 +10,13 @@ from scsnet import (
     CanonicalSystem,
     Dimension,
     charfn_inv_ci,
+    charfn_inv_cin,
     tail_ci,
     tail_ci2,
     tail_ci_closed,
     tail_cin,
 )
+from scsnet.analytic import _cin_char_scale, _noise_damping
 from scsnet.numerics import (
     _MAX_EVALS,
     InversionError,
@@ -21,6 +24,7 @@ from scsnet.numerics import (
     g_integral,
     invert_tail,
     kummer_1f1_neg_a,
+    simplex_rule,
 )
 
 
@@ -220,16 +224,24 @@ class TestInvertTail:
             assert exc.value.evaluations == 0
             assert math.isnan(exc.value.partial_value)
 
+        def inverted(canon, eta):
+            # the inversion with tail_cin's arguments; tail_cin itself
+            # inverts only below eta = 1/4
+            return lambda: invert_tail(
+                lambda w: charfn_inv_cin(canon, w), eta, p=1.0 / canon.ratio,
+                damping=_noise_damping(canon)[0], tol=1e-5,
+                char_scale=_cin_char_scale(canon))
+
         refused(lambda: invert_tail(never, 0.5, p=0.5, char_scale=1e9))
         # the bound at the largest affordable Omega is 1.7e-15 > 1e-15
         refused(lambda: invert_tail(never, 0.5, p=0.5, tol=1e-15))
         # N' = 1e10 puts the noise phase at ~1e10 per unit omega
         refused(lambda: tail_cin(
-            CanonicalSystem(dim=Dimension(2), epsilon=4.0, nprime=1e10), 0.5))
+            CanonicalSystem(dim=Dimension(2), epsilon=4.0, nprime=1e10), 0.2))
         # N' = 3e4: Omega = 30 is the only affordable cutoff, bound 3.2e-5
-        refused(lambda: tail_cin(
+        refused(inverted(
             CanonicalSystem(dim=Dimension(2), epsilon=4.0, nprime=3e4), 0.99))
-        refused(lambda: tail_cin(CanonicalSystem(
+        refused(inverted(CanonicalSystem(
             dim=Dimension(1), epsilon=6.656231078410055, nprime=54.1521322481172),
             1 - 1e-12))
 
@@ -255,3 +267,17 @@ class TestInvertTail:
     def test_quadrature_result_validation(self):
         with pytest.raises(ValueError):
             QuadratureResult(value=1.0, abs_error_estimate=-1.0, evaluations=3)
+
+
+class TestSimplexRule:
+    @pytest.mark.parametrize("power", [0.004, 0.5, 2.3])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_dirichlet_moments(self, dim, power):
+        # int z^k (1 - sum z)^power dz = prod k_i! Gamma(power + 1)
+        # / Gamma(|k| + dim + power + 1) over the simplex
+        z, w = simplex_rule(dim, power, 16)
+        for k in itertools.product(range(4), repeat=dim):
+            want = (math.prod(map(math.factorial, k)) * math.gamma(power + 1.0)
+                    / math.gamma(sum(k) + dim + power + 1.0))
+            got = np.sum(w * np.prod(z ** np.array(k), axis=1))
+            assert got == pytest.approx(want, rel=1e-13), k
